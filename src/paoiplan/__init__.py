@@ -10,20 +10,19 @@ promised tail exponents.
 """
 
 from .feasibility import FeasibilityReport, InfeasibleScenarioError, check_feasibility
-from .ldp import ExponentResult, check_lemma1_equivalence, exponent_root, exponent_variational
+from .ldp import ExponentResult, exponent_root, exponent_variational
 from .model import (
     AllocationPlan,
     InfeasibleRateError,
     Scenario,
-    SensorSpec,
     SolveMethod,
     lmgf_exponential,
     optimal_sampling_delay,
     rate_function_exponential,
 )
 from .sim import PaoiSummary, SimConfig, TailEstimate, simulate_plan, simulate_sensor
-from .solver_approx import approximation_gap, solve_approx
-from .solver_exact import ConvergenceError, SolverConfig, allocation_at_lambda, residual, solve_exact
+from .solver_approx import solve_approx
+from .solver_exact import ConvergenceError, allocation_at_lambda, residual, solve_exact
 
 __version__ = "0.1.0"
 
@@ -36,15 +35,11 @@ __all__ = [
     "InfeasibleScenarioError",
     "PaoiSummary",
     "Scenario",
-    "SensorSpec",
     "SimConfig",
     "SolveMethod",
-    "SolverConfig",
     "TailEstimate",
     "allocation_at_lambda",
-    "approximation_gap",
     "check_feasibility",
-    "check_lemma1_equivalence",
     "exponent_root",
     "exponent_variational",
     "lmgf_exponential",

@@ -20,10 +20,10 @@ from .experiments import (
 )
 from .feasibility import InfeasibleScenarioError, check_feasibility
 from .ldp import exponent_root, exponent_variational
-from .model import AllocationPlan, InfeasibleRateError, Scenario, SensorSpec, SolveMethod
+from .model import AllocationPlan, InfeasibleRateError, Scenario, SolveMethod
 from .sim import SimConfig, TailEstimate, simulate_plan
 from .solver_approx import solve_approx
-from .solver_exact import ConvergenceError, SolverConfig, solve_exact
+from .solver_exact import ConvergenceError, solve_exact
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -76,7 +76,7 @@ def load_scenario(path) -> Scenario:
     sensors = data.get("sensors")
     if not isinstance(sensors, list) or not sensors:
         raise CliError(f"scenario file {path} needs a nonempty 'sensors' array")
-    specs = []
+    columns = {k: [] for k in _SENSOR_KEYS}
     for index, entry in enumerate(sensors):
         if not isinstance(entry, dict):
             raise CliError(f"sensors[{index}] must be an object")
@@ -86,13 +86,11 @@ def load_scenario(path) -> Scenario:
         missing = _SENSOR_KEYS - set(entry)
         if missing:
             raise CliError(f"sensors[{index}] is missing keys: {sorted(missing)}")
-        specs.append({k: _finite_number(entry[k], f"sensors[{index}].{k}") for k in _SENSOR_KEYS})
+        for k in _SENSOR_KEYS:
+            columns[k].append(_finite_number(entry[k], f"sensors[{index}].{k}"))
     budget = _finite_number(data.get("budget", 1.0), "budget")
     try:
-        return Scenario(
-            sensors=tuple(SensorSpec(mu=s["mu"], cost=s["cost"], theta=s["theta"]) for s in specs),
-            budget=budget,
-        )
+        return Scenario.from_arrays(columns["mu"], columns["cost"], columns["theta"], budget)
     except ValueError as exc:
         raise CliError(f"scenario file {path}: {exc}") from exc
 
@@ -172,8 +170,7 @@ def _cmd_feasible(args) -> int:
 
 def _cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
-    config = SolverConfig(lambda_rel_tol=args.tol) if args.tol is not None else SolverConfig()
-    plan = solve_exact(scenario, config)
+    plan = solve_exact(scenario)
     _emit(plan_to_dict(plan), args.out)
     return EXIT_OK
 
@@ -246,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact joint plan")
     p.add_argument("scenario")
-    p.add_argument("--tol", type=float, default=None, help="relative multiplier tolerance")
     p.add_argument("--out", default=None, help="write the plan JSON here instead of stdout")
     p.set_defaults(func=_cmd_solve)
 

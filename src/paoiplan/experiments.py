@@ -18,7 +18,7 @@ import numpy as np
 from .feasibility import check_feasibility
 from .model import Scenario
 from .solver_approx import solve_approx
-from .solver_exact import SolverConfig, solve_exact
+from .solver_exact import solve_exact
 
 logger = logging.getLogger(__name__)
 
@@ -51,11 +51,7 @@ class CostGapRow:
     stderr_gap: float
 
 
-def fig2_sweep(
-    c1_values=FIG2_C1_VALUES,
-    theta1_grid=FIG2_THETA1_GRID,
-    config: SolverConfig | None = None,
-) -> list[TradeoffRow]:
+def fig2_sweep(c1_values=FIG2_C1_VALUES, theta1_grid=FIG2_THETA1_GRID) -> list[TradeoffRow]:
     """Solve the two-sensor system over a grid of (cost, exponent) for sensor 1.
 
     The second sensor is fixed (theta 0.3, unit cost and rate).  Grid points
@@ -75,7 +71,7 @@ def fig2_sweep(
                     theta1, report.load, scenario.budget,
                 )
                 continue
-            exact = solve_exact(scenario, config)
+            exact = solve_exact(scenario)
             approx = solve_approx(scenario)
             rows.append(
                 TradeoffRow(c1=float(c1), theta1=float(theta1),
@@ -121,13 +117,7 @@ def _replication_seed(seed: int, n: int, rep: int) -> int:
     return int(np.random.SeedSequence((int(seed), int(n), int(rep))).generate_state(1, np.uint64)[0])
 
 
-def fig3_sweep(
-    n_values,
-    c_max: float,
-    replications: int,
-    seed: int,
-    config: SolverConfig | None = None,
-) -> list[CostGapRow]:
+def fig3_sweep(n_values, c_max: float, replications: int, seed: int) -> list[CostGapRow]:
     """Average the exact/approximate cost gap over randomized cost draws.
 
     Each (size, replication) pair gets an independent substream derived
@@ -141,7 +131,7 @@ def fig3_sweep(
         exact_costs, approx_costs, gaps = [], [], []
         for rep in range(replications):
             scenario = fig3_scenario(n, c_max, _replication_seed(seed, n, rep))
-            exact = solve_exact(scenario, config)
+            exact = solve_exact(scenario)
             approx = solve_approx(scenario)
             exact_costs.append(exact.total_cost)
             approx_costs.append(approx.total_cost)

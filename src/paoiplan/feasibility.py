@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Scenario
 
 
@@ -50,10 +52,11 @@ def check_feasibility(scenario: Scenario) -> FeasibilityReport:
     ``binding_sensors`` lists all sensor indices by descending
     ``theta_i / mu_i`` contribution (ties broken by index).
     """
-    contributions = [s.theta / s.mu for s in scenario.sensors]
-    load = math.fsum(contributions)
+    contributions = scenario.theta / scenario.mu
+    load = math.fsum(contributions.tolist())
     slack = scenario.budget - load
-    order = sorted(range(scenario.n), key=lambda i: (-contributions[i], i))
+    # Stable sort of the negated contributions: tied sensors stay in index order.
+    order = np.argsort(-contributions, kind="stable").tolist()
     return FeasibilityReport(
         feasible=load < scenario.budget,
         load=load,

@@ -15,7 +15,6 @@ from .model import lmgf_exponential, rate_function_exponential
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _T_INTERVAL_TOL = 1e-10
-_EXPONENT_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,19 +109,3 @@ def exponent_root(nu: float, b: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def check_lemma1_equivalence(nu: float, b: float, theta: float) -> tuple[bool, bool]:
-    """Evaluate both sides of the tail-constraint equivalence at one point.
-
-    Returns ``(condition_holds, exponent_satisfied)``: whether the scalar
-    condition ``LMGF(theta)/theta <= b`` holds, and whether the variational
-    exponent reaches ``theta`` (up to a small numerical slack).  The
-    equivalence says the two booleans agree on every input.
-    """
-    _validate(nu, b)
-    if not theta > 0.0:
-        raise ValueError(f"outage exponent must be positive, got {theta!r}")
-    condition_holds = lmgf_exponential(nu, theta) / theta <= b
-    exponent_satisfied = exponent_variational(nu, b).psi >= theta - _EXPONENT_SLACK
-    return condition_holds, exponent_satisfied

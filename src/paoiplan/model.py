@@ -20,75 +20,78 @@ class InfeasibleRateError(ValueError):
     """The effective service rate is too low for the requested outage exponent."""
 
 
-@dataclass(frozen=True)
-class SensorSpec:
-    """One sensor: rate per resource share, delay unit cost, required tail exponent.
+_SCENARIO_FIELDS = ("mu", "cost", "theta")
 
-    ``mu`` is the mean transmission rate per unit of resource (packets/time
-    per share), ``cost`` the price of delaying sampling by one time unit,
-    and ``theta`` the required exponential decay rate of the peak-age tail.
+
+def _positive_vector(name: str, values) -> np.ndarray:
+    # np.array (not asarray) copies, so freezing the result never freezes the caller's array.
+    vector = np.array(values, dtype=float)
+    if vector.ndim != 1:
+        raise ValueError(f"Scenario.{name} must be one-dimensional, got shape {vector.shape}")
+    bad = np.flatnonzero(~(np.isfinite(vector) & (vector > 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"Scenario.{name}[{i}] must be a finite positive number, got {float(vector[i])!r}"
+        )
+    vector.flags.writeable = False
+    return vector
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """A set of sensors sharing one divisible resource budget.
+
+    Sensor ``i`` has mean transmission rate ``mu[i]`` per unit of resource
+    (packets/time per share), delay unit cost ``cost[i]`` (the price of
+    delaying sampling by one time unit), and required exponential decay
+    rate ``theta[i]`` of its peak-age tail.  The three are stored once as
+    validated, read-only float64 arrays of equal length.
     """
 
-    mu: float
-    cost: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        for name in ("mu", "cost", "theta"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"SensorSpec.{name} must be a finite positive number, got {getattr(self, name)!r}"
-                )
-            object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A set of sensors sharing one divisible resource budget."""
-
-    sensors: tuple[SensorSpec, ...]
+    mu: np.ndarray
+    cost: np.ndarray
+    theta: np.ndarray
     budget: float = 1.0
 
     def __post_init__(self) -> None:
-        sensors = tuple(self.sensors)
-        if not sensors:
+        vectors = [_positive_vector(name, getattr(self, name)) for name in _SCENARIO_FIELDS]
+        lengths = [v.size for v in vectors]
+        if len(set(lengths)) != 1:
+            raise ValueError(
+                "mu, cost, theta must have equal lengths, got {}, {}, {}".format(*lengths)
+            )
+        if not lengths[0]:
             raise ValueError("Scenario requires at least one sensor")
-        if not all(isinstance(s, SensorSpec) for s in sensors):
-            raise ValueError("Scenario.sensors must contain SensorSpec entries")
         budget = float(self.budget)
         if not (math.isfinite(budget) and budget > 0.0):
             raise ValueError(f"Scenario.budget must be a finite positive number, got {self.budget!r}")
-        object.__setattr__(self, "sensors", sensors)
+        for name, vector in zip(_SCENARIO_FIELDS, vectors):
+            object.__setattr__(self, name, vector)
         object.__setattr__(self, "budget", budget)
 
     @classmethod
     def from_arrays(cls, mu, cost, theta, budget: float = 1.0) -> "Scenario":
-        mu, cost, theta = list(mu), list(cost), list(theta)
-        if not (len(mu) == len(cost) == len(theta)):
-            raise ValueError(
-                f"mu, cost, theta must have equal lengths, got {len(mu)}, {len(cost)}, {len(theta)}"
-            )
-        return cls(
-            sensors=tuple(SensorSpec(mu=m, cost=c, theta=t) for m, c, t in zip(mu, cost, theta)),
-            budget=budget,
+        return cls(mu, cost, theta, budget)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Scenario):
+            return NotImplemented
+        return self.budget == other.budget and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _SCENARIO_FIELDS
         )
 
     @property
     def n(self) -> int:
-        return len(self.sensors)
+        return self.mu.size
 
-    @property
-    def mu(self) -> np.ndarray:
-        return np.array([s.mu for s in self.sensors])
+    def delay_cost(self, b) -> float:
+        """Cost-weighted delay sum ``sum(cost_i * b_i)``, correctly rounded.
 
-    @property
-    def cost(self) -> np.ndarray:
-        return np.array([s.cost for s in self.sensors])
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.array([s.theta for s in self.sensors])
+        Every plan's ``total_cost`` comes from here, so recomputing it for
+        the same delays reproduces it bit for bit.
+        """
+        return math.fsum((self.cost * np.asarray(b, dtype=float)).tolist())
 
 
 class SolveMethod(str, Enum):
@@ -146,16 +149,18 @@ class AllocationPlan:
         """
         if self.n != scenario.n:
             raise ValueError(f"plan covers {self.n} sensors, scenario has {scenario.n}")
-        for i, (sensor, r_i) in enumerate(zip(scenario.sensors, self.r)):
-            if sensor.mu * r_i <= sensor.theta:
-                raise ValueError(
-                    f"sensor {i}: service rate {sensor.mu * r_i:.6g} does not exceed "
-                    f"outage exponent {sensor.theta:.6g}"
-                )
+        rates = scenario.mu * np.array(self.r)
+        dominated = np.flatnonzero(rates <= scenario.theta)
+        if dominated.size:
+            i = int(dominated[0])
+            raise ValueError(
+                f"sensor {i}: service rate {rates[i]:.6g} does not exceed "
+                f"outage exponent {scenario.theta[i]:.6g}"
+            )
         total_share = math.fsum(self.r)
         if total_share > scenario.budget + tol:
             raise ValueError(f"shares sum to {total_share:.12g}, above budget {scenario.budget:.12g}")
-        recomputed = math.fsum(s.cost * b_i for s, b_i in zip(scenario.sensors, self.b))
+        recomputed = scenario.delay_cost(self.b)
         if recomputed != self.total_cost:
             raise ValueError(
                 f"total_cost {self.total_cost!r} does not match recomputed value {recomputed!r}"

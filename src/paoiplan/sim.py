@@ -174,6 +174,6 @@ def simulate_plan(
     if plan.n != scenario.n:
         raise ValueError(f"plan covers {plan.n} sensors, scenario has {scenario.n}")
     return [
-        simulate_sensor(sensor.mu * r_i, b_i, config, stream=i)
-        for i, (sensor, r_i, b_i) in enumerate(zip(scenario.sensors, plan.r, plan.b))
+        simulate_sensor(mu_i * r_i, b_i, config, stream=i)
+        for i, (mu_i, r_i, b_i) in enumerate(zip(scenario.mu.tolist(), plan.r, plan.b))
     ]

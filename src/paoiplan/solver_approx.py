@@ -8,13 +8,10 @@ expression, so no root-finding is needed.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .feasibility import InfeasibleScenarioError, check_feasibility
 from .model import AllocationPlan, Scenario, SolveMethod
-from .solver_exact import SolverConfig, solve_exact
 
 
 def solve_approx(scenario: Scenario) -> AllocationPlan:
@@ -32,21 +29,10 @@ def solve_approx(scenario: Scenario) -> AllocationPlan:
     weight_sum = float(np.sum(weights))
     shares = theta / mu + weights * (report.slack / weight_sum)
     delays = np.log1p(theta**2 / (cost * mu) * (weight_sum / report.slack)) / theta
-    total = math.fsum(c * b for c, b in zip(cost, delays))
     return AllocationPlan(
-        r=tuple(float(x) for x in shares),
-        b=tuple(float(x) for x in delays),
+        r=tuple(shares.tolist()),
+        b=tuple(delays.tolist()),
         method=SolveMethod.APPROX,
-        total_cost=total,
+        total_cost=scenario.delay_cost(delays),
         lam=None,
     )
-
-
-def approximation_gap(scenario: Scenario, config: SolverConfig | None = None) -> float:
-    """Relative excess cost of the closed form over the exact optimum.
-
-    Nonnegative up to solver tolerance, since the exact plan is optimal.
-    """
-    exact = solve_exact(scenario, config)
-    approx = solve_approx(scenario)
-    return (approx.total_cost - exact.total_cost) / exact.total_cost

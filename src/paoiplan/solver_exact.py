@@ -1,145 +1,104 @@
 """Exact joint planner: multiplier root-find plus closed-form recovery.
 
 Minimizing the cost-weighted sum of sampling delays over resource shares is
-convex, so the optimum is characterized by a single Lagrange multiplier on
-the budget constraint.  The per-sensor share at a given multiplier is the
-positive root of a quadratic; the multiplier itself solves a strictly
-monotone scalar equation (shares sum to the budget), found here by an
-expanding-bracket bisection polished with Newton steps.
+convex, so the optimum is characterized by a single Lagrange multiplier
+``lam`` on the budget constraint.  The per-sensor share at a given
+multiplier is the positive root of a quadratic.  The multiplier is found by
+Newton on 1/lam from zero: in ``s = 1/lam`` the budget equation is concave
+and increasing with value 0 at ``s = 0``, so the iterates climb
+monotonically to the root and stop when a step no longer raises ``s``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .feasibility import InfeasibleScenarioError, check_feasibility
 from .model import AllocationPlan, Scenario, SolveMethod, optimal_sampling_delay
 
-_BRACKET_LO = 1e-9
-_BRACKET_HI = 1.0
-_NEWTON_POLISH_STEPS = 3
+# Newton from zero takes 3-8 steps at loads from 0.5 up to the boundary and
+# up to about 30 when the minimum shares sit many decades below the slack.
+_MAX_NEWTON_STEPS = 100
 
 
 class ConvergenceError(RuntimeError):
     """Root finding failed to converge within the iteration budget."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and iteration caps for the multiplier root-find."""
+def _headroom(scenario: Scenario, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sensor share above ``theta/mu`` at ``s = 1/lam``, and its slope in ``s``.
 
-    lambda_rel_tol: float = 1e-12
-    max_iters: int = 200
-    bracket_growth: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lambda_rel_tol <= 1e-3):
-            raise ValueError(f"lambda_rel_tol must lie in (0, 1e-3], got {self.lambda_rel_tol!r}")
-        if self.max_iters < 10:
-            raise ValueError(f"max_iters must be at least 10, got {self.max_iters!r}")
-        if not self.bracket_growth > 1.0:
-            raise ValueError(f"bracket_growth must exceed 1, got {self.bracket_growth!r}")
+    The stationarity condition ``mu*lam*r**2 - theta*lam*r - cost = 0`` has
+    one positive root, ``(theta/mu) * (1 + sqrt(1 + q*s)) / 2`` with
+    ``q = 4*cost*mu/theta**2``.  Its headroom ``(theta/(2*mu)) *
+    (sqrt(1 + q*s) - 1)`` is written with expm1/log1p so that it keeps full
+    relative precision when ``q*s`` is tiny (very large multipliers, or a
+    scenario at the feasibility boundary); the slope is
+    ``(cost/theta) / sqrt(1 + q*s)``.
+    """
+    mu, cost, theta = scenario.mu, scenario.cost, scenario.theta
+    sqrt_minus_one = np.expm1(0.5 * np.log1p(4.0 * cost * mu / theta**2 * s))
+    return theta / (2.0 * mu) * sqrt_minus_one, cost / theta / (1.0 + sqrt_minus_one)
 
 
 def allocation_at_lambda(scenario: Scenario, lam: float) -> np.ndarray:
     """Per-sensor shares at multiplier ``lam``: the positive quadratic root.
 
-    The stationarity condition ``mu*lam*r**2 - theta*lam*r - cost = 0`` has
-    one positive root, which always exceeds ``theta/mu`` so the service rate
-    strictly dominates the exponent.
+    Every share strictly exceeds ``theta/mu``, so the service rate strictly
+    dominates the exponent.
     """
     if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lambda must be a finite positive number, got {lam!r}")
-    mu, cost, theta = scenario.mu, scenario.cost, scenario.theta
-    # Root written as (theta/mu) * (1 + expm1(log1p(q/lam)/2) / 2) with
-    # q = 4*cost*mu/theta**2: algebraically the usual (1 + sqrt(1 + q/lam))/2
-    # form, but it keeps the share-minus-theta/mu margin accurate when
-    # q/lam underflows the sqrt's precision at very large multipliers.
-    q = 4.0 * cost * mu / theta**2
-    sqrt_minus_one = np.expm1(0.5 * np.log1p(q / lam))
-    return theta / mu * (1.0 + 0.5 * sqrt_minus_one)
+    headroom, _ = _headroom(scenario, 1.0 / lam)
+    return scenario.theta / scenario.mu + headroom
 
 
 def residual(scenario: Scenario, lam: float) -> float:
     """Budget residual ``sum(r_i(lam)) - budget``; strictly decreasing in ``lam``."""
-    return float(math.fsum(allocation_at_lambda(scenario, lam)) - scenario.budget)
+    return float(math.fsum(allocation_at_lambda(scenario, lam).tolist()) - scenario.budget)
 
 
-def _residual_derivative(scenario: Scenario, lam: float) -> float:
-    mu, cost, theta = scenario.mu, scenario.cost, scenario.theta
-    sqrt_term = np.sqrt(1.0 + 4.0 * cost * mu / (theta**2 * lam))
-    return float(np.sum(-cost / (theta * lam**2 * sqrt_term)))
-
-
-def _find_multiplier(scenario: Scenario, config: SolverConfig) -> float:
-    lo, hi = _BRACKET_LO, _BRACKET_HI
-    for _ in range(config.max_iters):
-        if residual(scenario, hi) <= 0.0:
+def _find_multiplier(scenario: Scenario, slack: float) -> float:
+    # Solve g(s) = slack, where g(s) is the total headroom.  The tangent of
+    # the concave g lies above it, so each Newton step lands at or below the
+    # root; in floats the iterates stop rising once they reach it.
+    s = 0.0
+    for _ in range(_MAX_NEWTON_STEPS):
+        headroom, slope = _headroom(scenario, s)
+        next_s = s + (slack - math.fsum(headroom.tolist())) / float(np.sum(slope))
+        if not next_s > s:
+            if s > 0.0 and math.isfinite(next_s):
+                return 1.0 / s
             break
-        lo, hi = hi, hi * config.bracket_growth
-    else:
-        raise ConvergenceError(f"no sign change up to lambda={hi:.3g}")
-    for _ in range(config.max_iters):
-        if residual(scenario, lo) >= 0.0:
-            break
-        lo, hi = lo / config.bracket_growth, lo
-    else:
-        raise ConvergenceError(f"no sign change down to lambda={lo:.3g}")
-
-    # Geometric bisection: the root can sit anywhere across many decades.
-    for _ in range(config.max_iters):
-        if hi - lo <= config.lambda_rel_tol * hi:
-            break
-        mid = math.sqrt(lo * hi)
-        if residual(scenario, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise ConvergenceError(
-            f"bisection stalled at [{lo:.16g}, {hi:.16g}] after {config.max_iters} iterations"
-        )
-
-    # Newton polish drives the budget residual to machine precision; steps
-    # are clamped to the bracket, whose endpoints straddle the root.
-    lam = math.sqrt(lo * hi)
-    for _ in range(_NEWTON_POLISH_STEPS):
-        value = residual(scenario, lam)
-        if value == 0.0:
-            break
-        candidate = lam - value / _residual_derivative(scenario, lam)
-        candidate = min(max(candidate, lo), hi)
-        if candidate == lam:
-            break
-        lam = candidate
-    return lam
+        s = next_s
+    raise ConvergenceError(
+        f"Newton on 1/lambda stopped at s={s!r} without meeting the budget slack {slack!r}"
+    )
 
 
-def solve_exact(scenario: Scenario, config: SolverConfig | None = None) -> AllocationPlan:
+def solve_exact(scenario: Scenario) -> AllocationPlan:
     """Solve the joint delay/allocation problem to optimality.
 
-    Returns a plan whose shares sum to the budget (within the multiplier
-    tolerance), with each sampling delay at the tight point of its tail
-    constraint.  Raises InfeasibleScenarioError when no allocation can
-    dominate every exponent, ConvergenceError on root-finding failure.
+    Returns a plan whose shares sum to the budget up to rounding, with each
+    sampling delay at the tight point of its tail constraint.  Raises
+    InfeasibleScenarioError when no allocation can dominate every exponent,
+    ConvergenceError when a Newton step leaves the finite floats or the
+    step cap is reached.
     """
-    config = config if config is not None else SolverConfig()
     report = check_feasibility(scenario)
     if not report.feasible:
         raise InfeasibleScenarioError(report)
-    lam = _find_multiplier(scenario, config)
+    lam = _find_multiplier(scenario, report.slack)
     shares = allocation_at_lambda(scenario, lam)
     delays = tuple(
-        optimal_sampling_delay(sensor.mu * r_i, sensor.theta)
-        for sensor, r_i in zip(scenario.sensors, shares)
+        optimal_sampling_delay(nu, theta)
+        for nu, theta in zip((scenario.mu * shares).tolist(), scenario.theta.tolist())
     )
-    total = math.fsum(s.cost * b_i for s, b_i in zip(scenario.sensors, delays))
     return AllocationPlan(
-        r=tuple(float(x) for x in shares),
+        r=tuple(shares.tolist()),
         b=delays,
         method=SolveMethod.EXACT,
-        total_cost=total,
+        total_cost=scenario.delay_cost(delays),
         lam=lam,
     )

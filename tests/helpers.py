@@ -27,13 +27,13 @@ def grid_min_cost_two_sensor(scenario: Scenario, step: float = 1e-5) -> float:
     with plain numpy logs and the budget split enumerated directly.
     """
     assert scenario.n == 2
-    first, second = scenario.sensors
+    (mu1, mu2), (c1, c2), (theta1, theta2) = scenario.mu, scenario.cost, scenario.theta
     r1 = np.arange(step, scenario.budget, step)
     r2 = scenario.budget - r1
-    ok = (first.mu * r1 > first.theta) & (second.mu * r2 > second.theta)
+    ok = (mu1 * r1 > theta1) & (mu2 * r2 > theta2)
     r1, r2 = r1[ok], r2[ok]
     total = (
-        first.cost / first.theta * np.log(first.mu * r1 / (first.mu * r1 - first.theta))
-        + second.cost / second.theta * np.log(second.mu * r2 / (second.mu * r2 - second.theta))
+        c1 / theta1 * np.log(mu1 * r1 / (mu1 * r1 - theta1))
+        + c2 / theta2 * np.log(mu2 * r2 / (mu2 * r2 - theta2))
     )
     return float(total.min())

@@ -94,8 +94,8 @@ def test_criterion_2_kkt_exactness():
     for scenario in _criterion2_scenarios():
         plan = solve_exact(scenario)
         worst_budget = max(worst_budget, abs(math.fsum(plan.r) - scenario.budget))
-        for sensor, r_i in zip(scenario.sensors, plan.r):
-            implied = sensor.cost / (r_i * (sensor.mu * r_i - sensor.theta))
+        for mu, cost, theta, r_i in zip(scenario.mu, scenario.cost, scenario.theta, plan.r):
+            implied = cost / (r_i * (mu * r_i - theta))
             worst_stationarity = max(worst_stationarity, abs(implied - plan.lam) / plan.lam)
     elapsed = time.perf_counter() - start
     _report(

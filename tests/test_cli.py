@@ -44,12 +44,8 @@ class TestSolveCommand:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["method"] == "exact"
 
-    def test_tol_flag_validated(self, scenario_file, capsys):
-        rc = cli.main(["solve", scenario_file(TWO_SYM), "--tol", "0.5"])
-        assert rc == 1
-
     def test_convergence_error_exits_3(self, scenario_file, monkeypatch, capsys):
-        def boom(scenario, config):
+        def boom(scenario):
             raise ConvergenceError("stalled")
 
         monkeypatch.setattr(cli, "solve_exact", boom)

@@ -68,7 +68,7 @@ def test_scaling_invariance(scale, seed):
 def test_increasing_theta_never_restores_feasibility(seed, index, factor):
     rng = np.random.default_rng(seed)
     scenario = random_feasible_scenario(rng)
-    theta = scenario.theta
+    theta = scenario.theta.copy()
     theta[index % scenario.n] *= factor
     bumped = check_feasibility(Scenario.from_arrays(mu=scenario.mu, cost=scenario.cost, theta=theta))
     original = check_feasibility(scenario)

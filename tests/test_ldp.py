@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from paoiplan import (
-    check_lemma1_equivalence,
     exponent_root,
     exponent_variational,
     lmgf_exponential,
@@ -78,20 +77,31 @@ class TestExponentVariational:
             exponent_variational(1.0, bad)
 
 
+def _lemma1_sides(nu: float, b: float, theta: float) -> tuple[bool, bool]:
+    """Both sides of the tail-constraint equivalence at one point.
+
+    ``(LMGF(theta)/theta <= b, variational exponent reaches theta up to
+    1e-6)``; the equivalence says the two booleans agree on every input.
+    """
+    condition_holds = lmgf_exponential(nu, theta) / theta <= b
+    exponent_satisfied = exponent_variational(nu, b).psi >= theta - 1e-6
+    return condition_holds, exponent_satisfied
+
+
 class TestLemma1Equivalence:
     def test_satisfied_point(self):
-        assert check_lemma1_equivalence(1.0, 2.0, 0.5) == (True, True)
+        assert _lemma1_sides(1.0, 2.0, 0.5) == (True, True)
 
     def test_violated_point(self):
-        assert check_lemma1_equivalence(1.0, 2.0, 0.9) == (False, False)
+        assert _lemma1_sides(1.0, 2.0, 0.9) == (False, False)
 
     def test_knife_edge_agreement(self):
-        condition, satisfied = check_lemma1_equivalence(1.0, 2.0, THETA_STAR_1_2)
+        condition, satisfied = _lemma1_sides(1.0, 2.0, THETA_STAR_1_2)
         assert condition == satisfied
 
     def test_booleans_agree_across_a_grid(self):
         for nu in (0.5, 1.0, 2.0):
             for b in (1.5 / nu, 3.0 / nu):
                 for theta in np.linspace(0.05, 0.95, 10) * nu:
-                    condition, satisfied = check_lemma1_equivalence(nu, b, theta)
+                    condition, satisfied = _lemma1_sides(nu, b, theta)
                     assert condition == satisfied, (nu, b, theta)

@@ -8,7 +8,6 @@ from paoiplan import (
     AllocationPlan,
     InfeasibleRateError,
     Scenario,
-    SensorSpec,
     SolveMethod,
     lmgf_exponential,
     optimal_sampling_delay,
@@ -17,21 +16,27 @@ from paoiplan import (
 
 
 class TestSensorSpec:
+    """Per-sensor fields (mu, cost, theta), validated by Scenario.from_arrays."""
+
     def test_accepts_positive_fields(self):
-        spec = SensorSpec(mu=1.5, cost=2.0, theta=0.3)
-        assert (spec.mu, spec.cost, spec.theta) == (1.5, 2.0, 0.3)
+        scenario = Scenario.from_arrays(mu=[1.5], cost=[2.0], theta=[0.3])
+        assert (scenario.mu[0], scenario.cost[0], scenario.theta[0]) == (1.5, 2.0, 0.3)
 
     @pytest.mark.parametrize("field", ["mu", "cost", "theta"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_nonpositive_or_nonfinite(self, field, bad):
-        kwargs = {"mu": 1.0, "cost": 1.0, "theta": 0.5}
-        kwargs[field] = bad
-        with pytest.raises(ValueError, match=field):
-            SensorSpec(**kwargs)
+        kwargs = {"mu": [1.0, 1.0], "cost": [1.0, 1.0], "theta": [0.5, 0.25]}
+        kwargs[field][1] = bad
+        with pytest.raises(ValueError, match=rf"Scenario\.{field}\[1\]"):
+            Scenario.from_arrays(**kwargs)
 
     def test_coerces_numpy_scalars_to_float(self):
-        spec = SensorSpec(mu=np.float64(2.0), cost=np.float64(1.0), theta=np.float64(0.5))
-        assert type(spec.mu) is float
+        scenario = Scenario.from_arrays(
+            mu=[np.float32(2.0)], cost=[np.int64(1)], theta=[np.float64(0.5)]
+        )
+        for values in (scenario.mu, scenario.cost, scenario.theta):
+            assert values.dtype == np.float64
+            assert type(values.tolist()[0]) is float
 
 
 class TestScenario:
@@ -45,7 +50,29 @@ class TestScenario:
 
     def test_rejects_empty_sensor_list(self):
         with pytest.raises(ValueError, match="at least one sensor"):
-            Scenario(sensors=())
+            Scenario.from_arrays(mu=(), cost=(), theta=())
+
+    def test_rejects_non_vector_input(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Scenario.from_arrays(mu=[[1.0, 1.0]], cost=[1.0, 1.0], theta=[0.1, 0.2])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Scenario.from_arrays(mu=1.0, cost=[1.0], theta=[0.1])
+
+    def test_stored_arrays_are_read_only_copies(self):
+        mu = np.array([1.0, 2.0])
+        scenario = Scenario.from_arrays(mu, (3, 4), (0.1, 0.2))
+        assert not np.shares_memory(scenario.mu, mu)
+        mu[0] = 5.0
+        assert scenario.mu[0] == 1.0
+        for values in (scenario.mu, scenario.cost, scenario.theta):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 9.0
+
+    def test_equality_compares_values(self):
+        scenario = Scenario.from_arrays(mu=(1, 2), cost=(3, 4), theta=(0.1, 0.2))
+        assert scenario == Scenario.from_arrays(np.array([1.0, 2.0]), [3.0, 4.0], [0.1, 0.2])
+        assert scenario != Scenario.from_arrays(mu=(1, 2), cost=(3, 5), theta=(0.1, 0.2))
+        assert scenario != Scenario.from_arrays(mu=(1, 2), cost=(3, 4), theta=(0.1, 0.2), budget=2)
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.inf])
     def test_rejects_bad_budget(self, budget):

@@ -1,14 +1,15 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from helpers import grid_min_cost_two_sensor, random_feasible_scenario
 from paoiplan import (
+    ConvergenceError,
     InfeasibleScenarioError,
     Scenario,
     SolveMethod,
-    SolverConfig,
     allocation_at_lambda,
     residual,
     solve_exact,
@@ -23,27 +24,6 @@ TWO_SENSOR = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.3))
 TWO_SENSOR_LAMBDA = 8.899470899470892
 TWO_SENSOR_R1 = 0.4827586206896553
 TWO_SENSOR_COST = 5.809727857939022
-
-
-class TestSolverConfig:
-    def test_defaults(self):
-        config = SolverConfig()
-        assert config.lambda_rel_tol == 1e-12
-        assert config.max_iters == 200
-        assert config.bracket_growth == 2.0
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, 2e-3])
-    def test_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="lambda_rel_tol"):
-            SolverConfig(lambda_rel_tol=tol)
-
-    def test_rejects_small_iteration_cap(self):
-        with pytest.raises(ValueError, match="max_iters"):
-            SolverConfig(max_iters=9)
-
-    def test_rejects_non_expanding_growth(self):
-        with pytest.raises(ValueError, match="bracket_growth"):
-            SolverConfig(bracket_growth=1.0)
 
 
 class TestAllocationAtLambda:
@@ -119,8 +99,8 @@ class TestSolveExact:
         scenario = random_feasible_scenario(rng)
         plan = solve_exact(scenario)
         assert abs(math.fsum(plan.r) - scenario.budget) <= 1e-9
-        for sensor, r_i in zip(scenario.sensors, plan.r):
-            implied = sensor.cost / (r_i * (sensor.mu * r_i - sensor.theta))
+        for mu, cost, theta, r_i in zip(scenario.mu, scenario.cost, scenario.theta, plan.r):
+            implied = cost / (r_i * (mu * r_i - theta))
             assert abs(implied - plan.lam) / plan.lam <= 1e-8
 
     @pytest.mark.parametrize("seed", [3, 17, 99])
@@ -157,3 +137,76 @@ class TestSolveExact:
         plan = solve_exact(doubled)
         assert math.fsum(plan.r) == pytest.approx(2.0, abs=1e-9)
         assert plan.total_cost < solve_exact(SYMMETRIC).total_cost  # more budget, cheaper plan
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_unrepresentable_multiplier_raises_convergence_error(self):
+        # theta = 1e-200 overflows 4*cost*mu/theta**2 to inf: no finite Newton step exists.
+        scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(1e-200, 0.5))
+        with pytest.raises(ConvergenceError):
+            solve_exact(scenario)
+
+    def test_large_system_meets_kkt_tolerances(self):
+        n, load = 100_000, 0.99
+        rng = np.random.default_rng(2024)
+        mu = rng.uniform(0.5, 4.0, n)
+        cost = rng.uniform(1.0, 10.0, n)
+        raw = rng.uniform(0.1, 1.0, n)
+        scenario = Scenario.from_arrays(mu, cost, raw * (load / float(np.sum(raw / mu))))
+        plan = solve_exact(scenario)
+        r = np.asarray(plan.r)
+        assert abs(math.fsum(plan.r) - scenario.budget) <= 1e-9
+        implied = scenario.cost / (r * (scenario.mu * r - scenario.theta))
+        assert np.max(np.abs(implied - plan.lam)) / plan.lam <= 1e-8
+
+
+def _decimal_multiplier(scenario: Scenario) -> tuple[Decimal, list[Decimal]]:
+    """Multiplier and shares at 50 digits, bisecting g(s) = slack in s = 1/lambda.
+
+    Independent of the solver: the inputs are taken as exact decimals and
+    the headroom is written as sqrt(1 + q*s) - 1 with no expm1/log1p.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mu, cost, theta = (
+            [Decimal(x) for x in values.tolist()]
+            for values in (scenario.mu, scenario.cost, scenario.theta)
+        )
+        base = [t / m for t, m in zip(theta, mu)]
+        half = [b / 2 for b in base]
+        q = [4 * c * m / (t * t) for c, m, t in zip(cost, mu, theta)]
+        slack = Decimal(scenario.budget) - sum(base)
+
+        def g(s):
+            return sum(h * ((1 + qi * s).sqrt() - 1) for h, qi in zip(half, q))
+
+        # g is concave with slope sum(cost/theta) at 0, so slack/slope is a lower bound.
+        lo = slack / sum(c / t for c, t in zip(cost, theta))
+        hi = 2 * lo
+        while g(hi) < slack:
+            lo, hi = hi, 2 * hi
+        while hi - lo > hi * Decimal("1e-40"):
+            mid = (lo + hi) / 2
+            if g(mid) < slack:
+                lo = mid
+            else:
+                hi = mid
+        s = (lo + hi) / 2
+        shares = [b + h * ((1 + qi * s).sqrt() - 1) for b, h, qi in zip(base, half, q)]
+        return 1 / s, shares
+
+
+@pytest.mark.parametrize("load", [0.9, 0.999, 1 - 1e-6, 1 - 1e-9])
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_matches_decimal_oracle(n, load):
+    rng = np.random.default_rng(n)
+    mu = rng.uniform(0.5, 4.0, n)
+    cost = rng.uniform(1.0, 10.0, n)
+    raw = rng.uniform(0.1, 1.0, n)
+    scenario = Scenario.from_arrays(mu, cost, raw * (load / float(np.sum(raw / mu))))
+    plan = solve_exact(scenario)
+    lam, shares = _decimal_multiplier(scenario)
+    np.testing.assert_allclose(plan.r, [float(x) for x in shares], rtol=1e-13, atol=0)
+    # The float slack carries an absolute rounding error near 1e-16, which the
+    # multiplier inherits relative to the slack itself.
+    slack = 1.0 - float(np.sum(scenario.theta / scenario.mu))
+    assert plan.lam == pytest.approx(float(lam), rel=max(1e-12, 1e-15 / slack))
