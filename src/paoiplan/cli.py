@@ -1,7 +1,8 @@
 """Command-line front end: scenario I/O, planning, analysis, and sweeps.
 
-Exit codes: 0 success, 1 schema or argument error, 2 infeasibility,
-3 numerical non-convergence.
+Exit codes: 0 success, 1 schema or argument error (for ``simulate`` also a
+plan that does not fit the scenario or leaves a queue unstable),
+2 infeasibility, 3 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -195,6 +196,7 @@ def _cmd_exponent(args) -> int:
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     plan = load_plan(args.plan)
+    plan.validate_for(scenario)
     config = SimConfig(num_samples=args.samples, seed=args.seed)
     estimates = simulate_plan(scenario, plan, config)
     print(json.dumps([_tail_estimate_to_dict(e) for e in estimates], indent=2))

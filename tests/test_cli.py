@@ -159,6 +159,31 @@ class TestSimulateRoundTrip:
         assert cli.main(["solve", scenario_file(single, "single.json"), "--out", str(plan_path)]) == 0
         assert cli.main(["simulate", scenario, str(plan_path), "--samples", "1000"]) == 1
 
+    def test_approx_plan_round_trips_through_simulate(self, scenario_file, tmp_path, capsys):
+        scenario = scenario_file(TWO_SYM)
+        plan_path = tmp_path / "plan.json"
+        assert cli.main(["approx", scenario, "--out", str(plan_path)]) == 0
+        assert cli.main(["simulate", scenario, str(plan_path), "--samples", "1000"]) == 0
+
+    def test_over_budget_plan_exits_1(self, scenario_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "r": [0.9, 0.9], "b": [0.5, 0.5], "method": "exact", "total_cost": 1.0,
+        }))
+        assert cli.main(["simulate", scenario_file(TWO_SYM), str(plan_path), "--samples", "1000"]) == 1
+        assert "above budget" in capsys.readouterr().err
+
+    def test_unstable_queue_exits_1(self, scenario_file, tmp_path, capsys):
+        # Shares within the budget and above theta, but nu*b = 0.5 <= 1.
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "r": [0.5, 0.5], "b": [1.0, 1.0], "method": "exact", "total_cost": 2.0,
+        }))
+        assert cli.main(["simulate", scenario_file(TWO_SYM), str(plan_path), "--samples", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sensor 0" in captured.err and "unstable" in captured.err
+
     def test_plan_schema_rejects_unknown_keys(self, scenario_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({

@@ -13,8 +13,56 @@ from paoiplan import (
     simulate_sensor,
     solve_exact,
 )
+from paoiplan.sim import _LINDLEY_BLOCK, _fit_tail, _peak_ages
 
 HOOK_CONFIG = SimConfig(warmup=0, seed=1)
+
+
+def reference_peak_ages(service_times: list[float], b: float) -> list[float]:
+    # The scalar form of the delivery recursion: the backlog
+    # v_j = max(v_{j-1} - b, 0) + T_j and the peak age v_j + b.
+    ages = []
+    v = service_times[0]
+    for t in service_times[1:]:
+        v = (v - b if v > b else 0.0) + t
+        ages.append(v + b)
+    return ages
+
+
+def reference_fit_tail(ages, lo_quantile, hi_quantile):
+    # The fit over a full sort of the samples.
+    sorted_ages = np.sort(ages)
+    n = sorted_ages.size
+    x_lo = float(np.quantile(sorted_ages, lo_quantile))
+    x_hi = float(np.quantile(sorted_ages, hi_quantile))
+    if x_hi > x_lo:
+        grid = np.linspace(x_lo, x_hi, 50)
+    else:
+        grid = np.array([x_lo])
+    ccdf = (n - np.searchsorted(sorted_ages, grid, side="left")) / n
+    points = tuple((float(x), float(p)) for x, p in zip(grid, ccdf))
+
+    tail_count = int(n - np.searchsorted(sorted_ages, x_hi, side="left"))
+    usable = ccdf > 0.0
+    xs = grid[usable]
+    if tail_count < 10 or np.unique(xs).size < 10:
+        return points, None, None, (
+            f"degenerate fit window: {tail_count} samples at or above the upper "
+            f"quantile and {np.unique(xs).size} usable grid points (need 10)"
+        )
+
+    ys = np.log(ccdf[usable])
+    x_bar, y_bar = xs.mean(), ys.mean()
+    sxx = float(np.sum((xs - x_bar) ** 2))
+    slope = float(np.sum((xs - x_bar) * (ys - y_bar)) / sxx)
+    resid = ys - (y_bar + slope * (xs - x_bar))
+    dof = xs.size - 2
+    stderr = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
+    return points, -slope, stderr, None
+
+
+def exponential_times(nu: float, count: int, seed: int) -> np.ndarray:
+    return -np.log1p(-np.random.default_rng(seed).random(count)) / nu
 
 
 class TestSimConfig:
@@ -72,6 +120,51 @@ class TestDeliveryRecursion:
         with pytest.raises(ValueError, match="strictly positive"):
             simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=[0.5, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_service_times(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly positive.*index 1"):
+            simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=[0.5, bad])
+
+
+class TestBlockedRecursion:
+    # The blocked prefix-sum form adds the same increments in another order,
+    # so it may differ from the scalar loop by rounding: a few ulps of the
+    # O(block) prefix sums, far inside 1e-10 relative.
+    @pytest.mark.parametrize("nu_b", [1.01, 2.0, 10.0])
+    @pytest.mark.parametrize(
+        "count", [_LINDLEY_BLOCK - 1, _LINDLEY_BLOCK, _LINDLEY_BLOCK + 1, 3 * _LINDLEY_BLOCK + 7]
+    )
+    def test_matches_scalar_loop_across_block_edges(self, count, nu_b):
+        times = exponential_times(1.0, count + 1, seed=count)
+        ages = _peak_ages(times, nu_b)
+        expected = np.array(reference_peak_ages(times.tolist(), nu_b))
+        assert ages.shape == expected.shape == (count,)
+        np.testing.assert_allclose(ages, expected, rtol=1e-10, atol=0.0)
+
+    def test_matches_scalar_loop_over_a_million_samples(self):
+        times = exponential_times(1.0, 1_000_001, seed=11)
+        ages = _peak_ages(times, 2.0)
+        np.testing.assert_allclose(ages, reference_peak_ages(times.tolist(), 2.0), rtol=1e-10, atol=0.0)
+
+
+class TestFitTailIdentity:
+    def test_tail_only_sort_matches_full_sort(self):
+        rng = np.random.default_rng(2024)
+        for case in range(300):
+            size = int(rng.choice([5, 20, 2000, 20000]))
+            kind = case % 4
+            if kind == 0:
+                ages = 1.0 + rng.exponential(1.0, size)
+            elif kind == 1:
+                ages = rng.integers(1, 30, size).astype(float)
+            elif kind == 2:
+                ages = rng.choice([1.0, 2.5, 4.0], size, p=[0.8, 0.15, 0.05])
+            else:
+                ages = np.full(size, 3.0)
+            lo = float(rng.uniform(0.05, 0.95))
+            hi = float(rng.uniform(lo, 1.0))
+            assert _fit_tail(ages, lo, hi) == reference_fit_tail(ages, lo, hi), (case, size, lo, hi)
+
 
 class TestTailEstimate:
     def test_determinism_per_seed(self):
@@ -91,7 +184,7 @@ class TestTailEstimate:
         from paoiplan.sim import _peak_ages
 
         rng = np.random.default_rng(4)
-        times = (-np.log1p(-rng.random(20_000)) / 1.3).tolist()
+        times = -np.log1p(-rng.random(20_000)) / 1.3
         ages = _peak_ages(times, 0.7)
         assert all(age > 0.7 for age in ages)
         assert all(age >= t + 0.7 for age, t in zip(ages, times[1:]))
@@ -132,6 +225,28 @@ class TestTailEstimate:
         assert estimate.stderr < 0.05 * target
 
 
+class TestDM1Oracle:
+    # A sensor is a D/M/1 queue, so its stationary sojourn time is exactly
+    # Exp(theta*) with theta* = exponent_root(nu, b) (GI/M/1, Kleinrock
+    # Vol. 1, section 6.4), and the stationary peak age is b + Exp(theta*).
+    # Batch means over 100 batches of 10^4 consecutive peaks give the error
+    # bars; the peaks are correlated, so i.i.d. error bars would be too tight.
+    @pytest.mark.parametrize("nu,b", [(1.0, 2.0), (1.0, 1.25), (2.0, 1.5)])
+    def test_peak_age_is_b_plus_exponential(self, nu, b):
+        warmup, count, batches = 10_000, 1_000_000, 100
+        times = exponential_times(nu, warmup + count, seed=77)
+        ages = _peak_ages(times, b)[warmup - 1:].reshape(batches, -1)
+        theta = exponent_root(nu, b)
+
+        def z_score(per_batch, expected):
+            stderr = per_batch.std(ddof=1) / math.sqrt(batches)
+            return abs(per_batch.mean() - expected) / stderr
+
+        assert z_score(ages.mean(axis=1), b + 1.0 / theta) <= 4.0
+        for k in (0.5, 2.0, 5.0):
+            assert z_score((ages >= b + k / theta).mean(axis=1), math.exp(-k)) <= 4.0
+
+
 class TestSimulatePlan:
     def test_length_mismatch_raises(self):
         scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.25))
@@ -156,6 +271,12 @@ class TestSimulatePlan:
             assert target > 0.25
             assert abs(estimate.fitted_exponent - target) / target <= 0.10
             assert estimate.fitted_exponent > 0.25
+
+    def test_unstable_queue_raises_naming_the_sensor(self):
+        scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.25))
+        plan = AllocationPlan(r=(0.5, 0.5), b=(4.0, 2.0), method=SolveMethod.EXACT, total_cost=6.0)
+        with pytest.raises(ValueError, match="sensor 1: nu\\*b = 1 <= 1"):
+            simulate_plan(scenario, plan, SimConfig(num_samples=1000))
 
     def test_degenerate_config_reports_fit_error_per_sensor(self):
         scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.25))
