@@ -98,8 +98,8 @@ def load_scenario(path) -> Scenario:
 
 def plan_to_dict(plan: AllocationPlan) -> dict:
     data = {
-        "r": list(plan.r),
-        "b": list(plan.b),
+        "r": plan.r.tolist(),
+        "b": plan.b.tolist(),
         "method": plan.method.value,
         "total_cost": plan.total_cost,
     }
@@ -165,7 +165,7 @@ def _tail_estimate_to_dict(estimate: TailEstimate) -> dict:
 
 def _cmd_feasible(args) -> int:
     report = check_feasibility(load_scenario(args.scenario))
-    print(json.dumps(report.to_dict(), indent=2))
+    _emit(report.to_dict())
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
@@ -185,21 +185,20 @@ def _cmd_approx(args) -> int:
 def _cmd_exponent(args) -> int:
     variational = exponent_variational(args.nu, args.b)
     root = exponent_root(args.nu, args.b)
-    print(json.dumps({
+    _emit({
         "psi_variational": variational.psi,
         "psi_root": root,
         "argmin_t": variational.argmin_t if math.isfinite(variational.argmin_t) else None,
-    }, indent=2))
+    })
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     plan = load_plan(args.plan)
-    plan.validate_for(scenario)
     config = SimConfig(num_samples=args.samples, seed=args.seed)
     estimates = simulate_plan(scenario, plan, config)
-    print(json.dumps([_tail_estimate_to_dict(e) for e in estimates], indent=2))
+    _emit([_tail_estimate_to_dict(e) for e in estimates])
     if args.ccdf:
         _write_ccdf_csv(estimates, args.ccdf)
     return EXIT_OK

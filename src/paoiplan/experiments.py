@@ -75,7 +75,7 @@ def fig2_sweep(c1_values=FIG2_C1_VALUES, theta1_grid=FIG2_THETA1_GRID) -> list[T
             approx = solve_approx(scenario)
             rows.append(
                 TradeoffRow(c1=float(c1), theta1=float(theta1),
-                            exact_b1=exact.b[0], approx_b1=approx.b[0])
+                            exact_b1=float(exact.b[0]), approx_b1=float(approx.b[0]))
             )
     return rows
 

@@ -44,6 +44,17 @@ class InfeasibleScenarioError(ValueError):
         )
 
 
+def feasible_slack(scenario: Scenario) -> float:
+    """Budget minus load, the planners' gate; InfeasibleScenarioError unless it is > 0.
+
+    The full report, with its ranking, is built only for the error.
+    """
+    slack = scenario.budget - math.fsum((scenario.theta / scenario.mu).tolist())
+    if not slack > 0.0:
+        raise InfeasibleScenarioError(check_feasibility(scenario))
+    return slack
+
+
 def check_feasibility(scenario: Scenario) -> FeasibilityReport:
     """Decide feasibility and report load, slack, and per-sensor contributions.
 

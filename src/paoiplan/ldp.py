@@ -30,11 +30,13 @@ class ExponentResult:
     argmin_t: float
 
 
-def _validate(nu: float, b: float) -> None:
+def _validate(nu: float, b: float) -> tuple[float, float]:
+    # Coerced once: numpy scalars (a plan's entries) would slow every scalar step.
     if not nu > 0.0:
         raise ValueError(f"service rate must be positive, got {nu!r}")
     if not b > 0.0:
         raise ValueError(f"sampling delay must be positive, got {b!r}")
+    return float(nu), float(b)
 
 
 def exponent_variational(nu: float, b: float) -> ExponentResult:
@@ -44,7 +46,7 @@ def exponent_variational(nu: float, b: float) -> ExponentResult:
     the service mean leaves no exponential decay guarantee, the infimum
     being approached as t grows without bound.
     """
-    _validate(nu, b)
+    nu, b = _validate(nu, b)
     if nu * b <= 1.0:
         return ExponentResult(psi=0.0, argmin_t=math.inf)
 
@@ -89,7 +91,7 @@ def exponent_root(nu: float, b: float) -> float:
     LMGF pole, so the positive root is unique; found by bisection.  Returns
     0 when ``nu * b <= 1`` (no positive root exists).
     """
-    _validate(nu, b)
+    nu, b = _validate(nu, b)
     if nu * b <= 1.0:
         return 0.0
 

@@ -10,7 +10,7 @@ analysis routine here builds on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -20,22 +20,41 @@ class InfeasibleRateError(ValueError):
     """The effective service rate is too low for the requested outage exponent."""
 
 
-_SCENARIO_FIELDS = ("mu", "cost", "theta")
+_BUDGET_ATOL = 1e-9  # validate_for: shares may exceed the budget by rounding
+_COST_RTOL = 1e-9  # validate_for: a total_cost written at 12 significant digits still matches
 
 
-def _positive_vector(name: str, values) -> np.ndarray:
+def _positive_vector(label: str, values) -> np.ndarray:
     # np.array (not asarray) copies, so freezing the result never freezes the caller's array.
     vector = np.array(values, dtype=float)
     if vector.ndim != 1:
-        raise ValueError(f"Scenario.{name} must be one-dimensional, got shape {vector.shape}")
+        raise ValueError(f"{label} must be one-dimensional, got shape {vector.shape}")
     bad = np.flatnonzero(~(np.isfinite(vector) & (vector > 0.0)))
     if bad.size:
         i = int(bad[0])
-        raise ValueError(
-            f"Scenario.{name}[{i}] must be a finite positive number, got {float(vector[i])!r}"
-        )
+        raise ValueError(f"{label}[{i}] must be a finite positive number, got {float(vector[i])!r}")
     vector.flags.writeable = False
     return vector
+
+
+def _freeze_sensor_vectors(instance, names: tuple[str, ...]) -> None:
+    """Replace the named fields by validated read-only vectors, one entry per sensor."""
+    owner = type(instance).__name__
+    vectors = [_positive_vector(f"{owner}.{name}", getattr(instance, name)) for name in names]
+    lengths = [str(v.size) for v in vectors]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"{', '.join(names)} must have equal lengths, got {', '.join(lengths)}")
+    if not vectors[0].size:
+        raise ValueError(f"{owner} requires at least one sensor")
+    for name, vector in zip(names, vectors):
+        object.__setattr__(instance, name, vector)
+
+
+def _value_eq(self, other) -> bool:
+    # Field-by-field value equality: the generated __eq__ cannot compare arrays.
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,31 +74,17 @@ class Scenario:
     budget: float = 1.0
 
     def __post_init__(self) -> None:
-        vectors = [_positive_vector(name, getattr(self, name)) for name in _SCENARIO_FIELDS]
-        lengths = [v.size for v in vectors]
-        if len(set(lengths)) != 1:
-            raise ValueError(
-                "mu, cost, theta must have equal lengths, got {}, {}, {}".format(*lengths)
-            )
-        if not lengths[0]:
-            raise ValueError("Scenario requires at least one sensor")
+        _freeze_sensor_vectors(self, ("mu", "cost", "theta"))
         budget = float(self.budget)
         if not (math.isfinite(budget) and budget > 0.0):
             raise ValueError(f"Scenario.budget must be a finite positive number, got {self.budget!r}")
-        for name, vector in zip(_SCENARIO_FIELDS, vectors):
-            object.__setattr__(self, name, vector)
         object.__setattr__(self, "budget", budget)
+
+    __eq__ = _value_eq
 
     @classmethod
     def from_arrays(cls, mu, cost, theta, budget: float = 1.0) -> "Scenario":
         return cls(mu, cost, theta, budget)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return self.budget == other.budget and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in _SCENARIO_FIELDS
-        )
 
     @property
     def n(self) -> int:
@@ -99,30 +104,23 @@ class SolveMethod(str, Enum):
     APPROX = "approx"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationPlan:
     """Per-sensor resource shares and sampling delays, plus solve provenance.
 
+    ``r`` and ``b`` are validated, read-only float64 arrays of equal length.
     ``lam`` is the Lagrange multiplier of the budget constraint; it is None
     for approximate plans, where the multiplier is eliminated in closed form.
     """
 
-    r: tuple[float, ...]
-    b: tuple[float, ...]
+    r: np.ndarray
+    b: np.ndarray
     method: SolveMethod
     total_cost: float
     lam: float | None = None
 
     def __post_init__(self) -> None:
-        r = tuple(float(x) for x in self.r)
-        b = tuple(float(x) for x in self.b)
-        if len(r) != len(b):
-            raise ValueError(f"r and b must have equal lengths, got {len(r)} and {len(b)}")
-        if not r:
-            raise ValueError("AllocationPlan requires at least one sensor")
-        for name, values in (("r", r), ("b", b)):
-            if not all(math.isfinite(v) and v > 0.0 for v in values):
-                raise ValueError(f"AllocationPlan.{name} entries must be finite and positive")
+        _freeze_sensor_vectors(self, ("r", "b"))
         total = float(self.total_cost)
         if not math.isfinite(total):
             raise ValueError("AllocationPlan.total_cost must be finite")
@@ -131,25 +129,26 @@ class AllocationPlan:
             if not (math.isfinite(lam) and lam > 0.0):
                 raise ValueError(f"AllocationPlan.lam must be finite and positive, got {self.lam!r}")
             object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "b", b)
         object.__setattr__(self, "total_cost", total)
         object.__setattr__(self, "method", SolveMethod(self.method))
 
+    __eq__ = _value_eq
+
     @property
     def n(self) -> int:
-        return len(self.r)
+        return self.r.size
 
-    def validate_for(self, scenario: Scenario, tol: float = 1e-9) -> None:
+    def validate_for(self, scenario: Scenario) -> None:
         """Raise ValueError unless the plan is consistent with ``scenario``.
 
-        Checks the share/delay vector lengths, strict service-rate dominance
-        (``mu_i * r_i > theta_i``), the budget cap up to ``tol``, and that
-        ``total_cost`` matches the recomputed cost-weighted delay sum.
+        Checks the sensor count, strict service-rate dominance
+        (``mu_i * r_i > theta_i``), the budget cap up to 1e-9, and that
+        ``total_cost`` is within 1e-9 relative of the recomputed
+        cost-weighted delay sum.
         """
         if self.n != scenario.n:
             raise ValueError(f"plan covers {self.n} sensors, scenario has {scenario.n}")
-        rates = scenario.mu * np.array(self.r)
+        rates = scenario.mu * self.r
         dominated = np.flatnonzero(rates <= scenario.theta)
         if dominated.size:
             i = int(dominated[0])
@@ -157,14 +156,25 @@ class AllocationPlan:
                 f"sensor {i}: service rate {rates[i]:.6g} does not exceed "
                 f"outage exponent {scenario.theta[i]:.6g}"
             )
-        total_share = math.fsum(self.r)
-        if total_share > scenario.budget + tol:
+        total_share = math.fsum(self.r.tolist())
+        if total_share > scenario.budget + _BUDGET_ATOL:
             raise ValueError(f"shares sum to {total_share:.12g}, above budget {scenario.budget:.12g}")
         recomputed = scenario.delay_cost(self.b)
-        if recomputed != self.total_cost:
+        if not abs(self.total_cost - recomputed) <= _COST_RTOL * recomputed:
             raise ValueError(
                 f"total_cost {self.total_cost!r} does not match recomputed value {recomputed!r}"
             )
+
+
+def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=None) -> AllocationPlan:
+    """Both planners' plan: shares ``theta/mu + headroom``, each delay at its tight point.
+
+    The delay is ``optimal_sampling_delay(mu*r, theta)`` written in the
+    headroom, ``log1p(theta/(mu*h))/theta``, so ``mu*r - theta`` never cancels.
+    """
+    mu, theta = scenario.mu, scenario.theta
+    delays = np.log1p(theta / (mu * headroom)) / theta
+    return AllocationPlan(theta / mu + headroom, delays, method, scenario.delay_cost(delays), lam)
 
 
 def lmgf_exponential(nu: float, gamma: float) -> float:

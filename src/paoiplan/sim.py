@@ -190,13 +190,11 @@ def simulate_plan(
     Sensors interact only through the static resource split, so each runs
     as its own queue with service rate ``mu_i * r_i`` and period ``b_i``.
     Results are ordered by sensor index and deterministic per seed.  Raises
-    ValueError naming the first sensor with ``mu_i * r_i * b_i <= 1``: its
-    queue is unstable, so its peak age has no stationary tail to check.
+    ValueError as ``plan.validate_for`` does, or naming the first sensor
+    with ``mu_i * r_i * b_i <= 1``: its queue is unstable.
     """
-    if plan.n != scenario.n:
-        raise ValueError(f"plan covers {plan.n} sensors, scenario has {scenario.n}")
-    nu = scenario.mu * np.array(plan.r)
-    b = np.array(plan.b)
+    plan.validate_for(scenario)
+    nu, b = scenario.mu * plan.r, plan.b
     unstable = np.flatnonzero(~(nu * b > 1.0))
     if unstable.size:
         i = int(unstable[0])

@@ -10,29 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .feasibility import InfeasibleScenarioError, check_feasibility
-from .model import AllocationPlan, Scenario, SolveMethod
+from .feasibility import feasible_slack
+from .model import AllocationPlan, Scenario, SolveMethod, _plan_from_headroom
 
 
 def solve_approx(scenario: Scenario) -> AllocationPlan:
     """Approximately optimal plan in closed form.
 
-    Shares sum to the budget exactly by construction (the slack is fully
-    distributed).  Offered for every feasible scenario regardless of size;
-    accuracy is measured, not enforced.
+    The headroom ``h_i = (cost_i/theta_i) * slack / W``, ``W = sum(cost/theta)``,
+    goes to the plan constructor shared with ``solve_exact``; the delay is
+    ``b_i = ln(1 + theta_i**2 * W / (cost_i * mu_i * slack)) / theta_i``.
+    Shares sum to the budget by construction.  Offered for every feasible
+    scenario regardless of size; accuracy is measured, not enforced.
     """
-    report = check_feasibility(scenario)
-    if not report.feasible:
-        raise InfeasibleScenarioError(report)
-    mu, cost, theta = scenario.mu, scenario.cost, scenario.theta
-    weights = cost / theta
-    weight_sum = float(np.sum(weights))
-    shares = theta / mu + weights * (report.slack / weight_sum)
-    delays = np.log1p(theta**2 / (cost * mu) * (weight_sum / report.slack)) / theta
-    return AllocationPlan(
-        r=tuple(shares.tolist()),
-        b=tuple(delays.tolist()),
-        method=SolveMethod.APPROX,
-        total_cost=scenario.delay_cost(delays),
-        lam=None,
-    )
+    slack = feasible_slack(scenario)
+    weights = scenario.cost / scenario.theta
+    headroom = weights * (slack / float(np.sum(weights)))
+    return _plan_from_headroom(scenario, headroom, SolveMethod.APPROX)

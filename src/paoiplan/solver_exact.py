@@ -3,10 +3,11 @@
 Minimizing the cost-weighted sum of sampling delays over resource shares is
 convex, so the optimum is characterized by a single Lagrange multiplier
 ``lam`` on the budget constraint.  The per-sensor share at a given
-multiplier is the positive root of a quadratic.  The multiplier is found by
-Newton on 1/lam from zero: in ``s = 1/lam`` the budget equation is concave
-and increasing with value 0 at ``s = 0``, so the iterates climb
-monotonically to the root and stop when a step no longer raises ``s``.
+multiplier is the positive root of a quadratic; the plan is built from its
+headroom above ``theta/mu``.  The multiplier is found by Newton on 1/lam
+from zero: in ``s = 1/lam`` the budget equation is concave and increasing
+with value 0 at ``s = 0``, so the iterates climb monotonically to the root
+and stop when a step no longer raises ``s``.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ import math
 
 import numpy as np
 
-from .feasibility import InfeasibleScenarioError, check_feasibility
-from .model import AllocationPlan, Scenario, SolveMethod, optimal_sampling_delay
+from .feasibility import feasible_slack
+from .model import AllocationPlan, Scenario, SolveMethod, _plan_from_headroom
 
 # Newton from zero takes 3-8 steps at loads from 0.5 up to the boundary and
 # up to about 30 when the minimum shares sit many decades below the slack.
@@ -80,25 +81,12 @@ def _find_multiplier(scenario: Scenario, slack: float) -> float:
 def solve_exact(scenario: Scenario) -> AllocationPlan:
     """Solve the joint delay/allocation problem to optimality.
 
-    Returns a plan whose shares sum to the budget up to rounding, with each
-    sampling delay at the tight point of its tail constraint.  Raises
-    InfeasibleScenarioError when no allocation can dominate every exponent,
-    ConvergenceError when a Newton step leaves the finite floats or the
-    step cap is reached.
+    The headroom at the multiplier goes to the plan constructor shared with
+    ``solve_approx``: shares sum to the budget up to rounding, each delay at
+    its tail constraint's tight point.  Raises InfeasibleScenarioError when
+    no allocation can dominate every exponent, ConvergenceError when a
+    Newton step leaves the finite floats or the step cap is reached.
     """
-    report = check_feasibility(scenario)
-    if not report.feasible:
-        raise InfeasibleScenarioError(report)
-    lam = _find_multiplier(scenario, report.slack)
-    shares = allocation_at_lambda(scenario, lam)
-    delays = tuple(
-        optimal_sampling_delay(nu, theta)
-        for nu, theta in zip((scenario.mu * shares).tolist(), scenario.theta.tolist())
-    )
-    return AllocationPlan(
-        r=tuple(shares.tolist()),
-        b=delays,
-        method=SolveMethod.EXACT,
-        total_cost=scenario.delay_cost(delays),
-        lam=lam,
-    )
+    lam = _find_multiplier(scenario, feasible_slack(scenario))
+    headroom, _ = _headroom(scenario, 1.0 / lam)
+    return _plan_from_headroom(scenario, headroom, SolveMethod.EXACT, lam)

@@ -77,6 +77,17 @@ class TestExponentVariational:
             exponent_variational(1.0, bad)
 
 
+@pytest.mark.parametrize("nu,b", [(1.0, 2.0), (2.0, 1.5), (1.0, 0.5)])
+def test_numpy_scalar_inputs_give_the_python_float_result(nu, b):
+    # A plan's delays are numpy scalars; both routes must return what they
+    # return for Python floats, as Python floats.
+    root = exponent_root(np.float64(nu), np.float64(b))
+    assert type(root) is float and root == exponent_root(nu, b)
+    result = exponent_variational(np.float64(nu), np.float64(b))
+    assert type(result.psi) is float and type(result.argmin_t) is float
+    assert result == exponent_variational(nu, b)
+
+
 def _lemma1_sides(nu: float, b: float, theta: float) -> tuple[bool, bool]:
     """Both sides of the tail-constraint equivalence at one point.
 

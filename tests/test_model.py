@@ -12,7 +12,48 @@ from paoiplan import (
     lmgf_exponential,
     optimal_sampling_delay,
     rate_function_exponential,
+    solve_exact,
 )
+
+
+def _scenario(first, second):
+    """A two-sensor Scenario with ``mu = first`` and ``cost = second``."""
+    return Scenario.from_arrays(first, second, (0.1, 0.2))
+
+
+def _plan(first, second):
+    """An AllocationPlan with ``r = first`` and ``b = second``."""
+    return AllocationPlan(r=first, b=second, method=SolveMethod.EXACT, total_cost=1.0, lam=2.0)
+
+
+# Checks shared by the two array-backed types, given a builder above and
+# the names of the arrays the type stores (the builder's two come first).
+def check_read_only_copies(build, names):
+    first = np.array([1.0, 2.0])
+    built = build(first, (3, 4))
+    assert not np.shares_memory(getattr(built, names[0]), first)
+    first[0] = 5.0
+    assert getattr(built, names[0])[0] == 1.0
+    for name in names:
+        values = getattr(built, name)
+        assert values.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 9.0
+
+
+def check_rejects_non_vector(build):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        build([[1.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        build(1.0, [1.0])
+
+
+def check_value_equality(build):
+    built = build((1, 2), (3, 4))
+    assert built == build(np.array([1.0, 2.0]), [3.0, 4.0])
+    assert built != build((1, 2), (3, 5))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(built)
 
 
 class TestSensorSpec:
@@ -53,25 +94,14 @@ class TestScenario:
             Scenario.from_arrays(mu=(), cost=(), theta=())
 
     def test_rejects_non_vector_input(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            Scenario.from_arrays(mu=[[1.0, 1.0]], cost=[1.0, 1.0], theta=[0.1, 0.2])
-        with pytest.raises(ValueError, match="one-dimensional"):
-            Scenario.from_arrays(mu=1.0, cost=[1.0], theta=[0.1])
+        check_rejects_non_vector(_scenario)
 
     def test_stored_arrays_are_read_only_copies(self):
-        mu = np.array([1.0, 2.0])
-        scenario = Scenario.from_arrays(mu, (3, 4), (0.1, 0.2))
-        assert not np.shares_memory(scenario.mu, mu)
-        mu[0] = 5.0
-        assert scenario.mu[0] == 1.0
-        for values in (scenario.mu, scenario.cost, scenario.theta):
-            with pytest.raises(ValueError, match="read-only"):
-                values[0] = 9.0
+        check_read_only_copies(_scenario, ("mu", "cost", "theta"))
 
     def test_equality_compares_values(self):
+        check_value_equality(_scenario)
         scenario = Scenario.from_arrays(mu=(1, 2), cost=(3, 4), theta=(0.1, 0.2))
-        assert scenario == Scenario.from_arrays(np.array([1.0, 2.0]), [3.0, 4.0], [0.1, 0.2])
-        assert scenario != Scenario.from_arrays(mu=(1, 2), cost=(3, 5), theta=(0.1, 0.2))
         assert scenario != Scenario.from_arrays(mu=(1, 2), cost=(3, 4), theta=(0.1, 0.2), budget=2)
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.inf])
@@ -96,8 +126,36 @@ class TestAllocationPlan:
             AllocationPlan(r=(0.5,), b=(1.0, 1.0), method=SolveMethod.EXACT, total_cost=1.0)
 
     def test_rejects_nonpositive_entries(self):
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match=r"AllocationPlan\.r\[1\]"):
             AllocationPlan(r=(0.5, 0.0), b=(1.0, 1.0), method=SolveMethod.EXACT, total_cost=1.0)
+
+    @pytest.mark.parametrize("field", ["r", "b"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_nonfinite_or_negative_entries(self, field, bad):
+        kwargs = {"r": [0.5, 0.5], "b": [1.0, 1.0]}
+        kwargs[field][1] = bad
+        with pytest.raises(ValueError, match=rf"AllocationPlan\.{field}\[1\] must be a finite positive"):
+            AllocationPlan(**kwargs, method=SolveMethod.EXACT, total_cost=1.0)
+
+    def test_rejects_empty_plan(self):
+        with pytest.raises(ValueError, match="at least one sensor"):
+            AllocationPlan(r=(), b=(), method=SolveMethod.EXACT, total_cost=0.0)
+
+    def test_rejects_non_vector_input(self):
+        check_rejects_non_vector(_plan)
+
+    def test_stored_arrays_are_read_only_copies(self):
+        check_read_only_copies(_plan, ("r", "b"))
+
+    def test_equality_compares_values(self):
+        check_value_equality(_plan)
+        plan = _plan((1, 2), (3, 4))
+        assert plan != AllocationPlan(r=(1, 2), b=(3, 4), method=SolveMethod.APPROX,
+                                      total_cost=1.0, lam=2.0)
+        assert plan != AllocationPlan(r=(1, 2), b=(3, 4), method=SolveMethod.EXACT,
+                                      total_cost=1.5, lam=2.0)
+        assert plan != AllocationPlan(r=(1, 2), b=(3, 4), method=SolveMethod.EXACT,
+                                      total_cost=1.0)
 
     def test_validate_for_checks_dominance_budget_and_cost(self):
         scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.25))
@@ -120,6 +178,20 @@ class TestAllocationPlan:
                                     total_cost=1.0)
         with pytest.raises(ValueError, match="total_cost"):
             wrong_cost.validate_for(scenario)
+
+    def test_validate_for_accepts_total_cost_at_12_significant_digits(self):
+        scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.25))
+        plan = solve_exact(scenario)
+
+        def with_total_cost(total_cost):
+            return AllocationPlan(r=plan.r, b=plan.b, method=plan.method,
+                                  total_cost=total_cost, lam=plan.lam)
+
+        rounded = float(f"{plan.total_cost:.12g}")
+        assert rounded != plan.total_cost
+        with_total_cost(rounded).validate_for(scenario)
+        with pytest.raises(ValueError, match="does not match recomputed value"):
+            with_total_cost(plan.total_cost * (1 + 1e-6)).validate_for(scenario)
 
 
 class TestLmgf:

@@ -26,6 +26,14 @@ TWO_SENSOR_R1 = 0.4827586206896553
 TWO_SENSOR_COST = 5.809727857939022
 
 
+def _random_scenario(n: int, load: float, rng: np.random.Generator) -> Scenario:
+    """mu in [0.5, 4], cost in [1, 10], theta scaled to the given load."""
+    mu = rng.uniform(0.5, 4.0, n)
+    cost = rng.uniform(1.0, 10.0, n)
+    raw = rng.uniform(0.1, 1.0, n)
+    return Scenario.from_arrays(mu, cost, raw * (load / float(np.sum(raw / mu))))
+
+
 class TestAllocationAtLambda:
     def test_symmetric_closed_form(self):
         shares = allocation_at_lambda(SYMMETRIC, 8.0)
@@ -146,15 +154,10 @@ class TestSolveExact:
             solve_exact(scenario)
 
     def test_large_system_meets_kkt_tolerances(self):
-        n, load = 100_000, 0.99
-        rng = np.random.default_rng(2024)
-        mu = rng.uniform(0.5, 4.0, n)
-        cost = rng.uniform(1.0, 10.0, n)
-        raw = rng.uniform(0.1, 1.0, n)
-        scenario = Scenario.from_arrays(mu, cost, raw * (load / float(np.sum(raw / mu))))
+        scenario = _random_scenario(100_000, 0.99, np.random.default_rng(2024))
         plan = solve_exact(scenario)
-        r = np.asarray(plan.r)
-        assert abs(math.fsum(plan.r) - scenario.budget) <= 1e-9
+        r = plan.r
+        assert abs(math.fsum(r.tolist()) - scenario.budget) <= 1e-9
         implied = scenario.cost / (r * (scenario.mu * r - scenario.theta))
         assert np.max(np.abs(implied - plan.lam)) / plan.lam <= 1e-8
 
@@ -198,11 +201,7 @@ def _decimal_multiplier(scenario: Scenario) -> tuple[Decimal, list[Decimal]]:
 @pytest.mark.parametrize("load", [0.9, 0.999, 1 - 1e-6, 1 - 1e-9])
 @pytest.mark.parametrize("n", [2, 10, 200])
 def test_matches_decimal_oracle(n, load):
-    rng = np.random.default_rng(n)
-    mu = rng.uniform(0.5, 4.0, n)
-    cost = rng.uniform(1.0, 10.0, n)
-    raw = rng.uniform(0.1, 1.0, n)
-    scenario = Scenario.from_arrays(mu, cost, raw * (load / float(np.sum(raw / mu))))
+    scenario = _random_scenario(n, load, np.random.default_rng(n))
     plan = solve_exact(scenario)
     lam, shares = _decimal_multiplier(scenario)
     np.testing.assert_allclose(plan.r, [float(x) for x in shares], rtol=1e-13, atol=0)
@@ -210,3 +209,25 @@ def test_matches_decimal_oracle(n, load):
     # multiplier inherits relative to the slack itself.
     slack = 1.0 - float(np.sum(scenario.theta / scenario.mu))
     assert plan.lam == pytest.approx(float(lam), rel=max(1e-12, 1e-15 / slack))
+
+
+@pytest.mark.parametrize("load", [0.99, 0.9999])
+def test_large_system_delays_match_decimal_oracle_at_the_multiplier(load):
+    # The largest delays belong to the sensors with the least headroom, where
+    # forming mu*r - theta from the rounded share cancels (at load 0.9999 that
+    # route is 3.3e-13 off).  At 50 digits, from the plan's own multiplier:
+    # h = (theta/(2mu))(sqrt(1 + q/lam) - 1), b = ln(1 + theta/(mu*h))/theta.
+    scenario = _random_scenario(100_000, load, np.random.default_rng(2024))
+    plan = solve_exact(scenario)
+    largest = np.argsort(plan.b)[-2000:]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s = 1 / Decimal(plan.lam)
+        exact = []
+        for i in largest.tolist():
+            mu, cost, theta = (
+                Decimal(float(v[i])) for v in (scenario.mu, scenario.cost, scenario.theta)
+            )
+            headroom = theta / (2 * mu) * ((1 + 4 * cost * mu / (theta * theta) * s).sqrt() - 1)
+            exact.append(float((1 + theta / (mu * headroom)).ln() / theta))
+    np.testing.assert_allclose(plan.b[largest], exact, rtol=1e-13, atol=0)
