@@ -47,53 +47,67 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _finite_number(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliError(f"{context} must be a number, got {value!r}")
-    number = float(value)
-    if not math.isfinite(number):
-        raise CliError(f"{context} must be finite, got {value!r}")
-    return number
+def _check_object(value, where: str, keys: set, required: set) -> None:
+    if not isinstance(value, dict):
+        raise CliError(f"{where} must be a JSON object")
+    unknown = value.keys() - keys
+    if unknown:
+        raise CliError(f"{where} has unknown keys: {sorted(unknown)}")
+    missing = required - value.keys()
+    if missing:
+        raise CliError(f"{where} is missing keys: {sorted(missing)}")
 
 
-def _load_json(path):
+def _read_object(path, kind: str, keys: set, required: set) -> dict:
+    # Integers decode as floats, so one beyond float range reads as inf and
+    # fails the model's finite check like any other non-finite number.
     try:
         with open(path) as handle:
-            return json.load(handle)
+            data = json.load(handle, parse_int=float)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
+    _check_object(data, f"{kind} file {path}", keys, required)
+    return data
+
+
+def _number(value, name: str) -> float:
+    if type(value) is not float:
+        raise CliError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _numbers(values: list, name: str) -> list:
+    # Types only: the model checks the values.  ``name.format(i)`` labels entry i.
+    if not {float}.issuperset(map(type, values)):
+        for i, value in enumerate(values):
+            _number(value, name.format(i))
+    return values
+
+
+def _build(where: str, factory, *args):
+    try:
+        return factory(*args)
+    except ValueError as exc:
+        raise CliError(f"{where}: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
-    """Read and schema-validate a scenario file."""
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise CliError(f"scenario file {path} must hold a JSON object")
-    unknown = set(data) - _SCENARIO_KEYS
-    if unknown:
-        raise CliError(f"scenario file {path} has unknown keys: {sorted(unknown)}")
-    sensors = data.get("sensors")
+    """Read a scenario file; CliError names a bad key, ``sensors[i].k`` or ``Scenario.mu[i]``."""
+    data = _read_object(path, "scenario", _SCENARIO_KEYS, {"sensors"})
+    sensors = data["sensors"]
     if not isinstance(sensors, list) or not sensors:
         raise CliError(f"scenario file {path} needs a nonempty 'sensors' array")
-    columns = {k: [] for k in _SENSOR_KEYS}
     for index, entry in enumerate(sensors):
-        if not isinstance(entry, dict):
-            raise CliError(f"sensors[{index}] must be an object")
-        unknown = set(entry) - _SENSOR_KEYS
-        if unknown:
-            raise CliError(f"sensors[{index}] has unknown keys: {sorted(unknown)}")
-        missing = _SENSOR_KEYS - set(entry)
-        if missing:
-            raise CliError(f"sensors[{index}] is missing keys: {sorted(missing)}")
-        for k in _SENSOR_KEYS:
-            columns[k].append(_finite_number(entry[k], f"sensors[{index}].{k}"))
-    budget = _finite_number(data.get("budget", 1.0), "budget")
-    try:
-        return Scenario.from_arrays(columns["mu"], columns["cost"], columns["theta"], budget)
-    except ValueError as exc:
-        raise CliError(f"scenario file {path}: {exc}") from exc
+        # One key-view compare per valid entry; the full diagnosis runs only on a mismatch.
+        if type(entry) is not dict or entry.keys() != _SENSOR_KEYS:
+            _check_object(entry, f"sensors[{index}]", _SENSOR_KEYS, _SENSOR_KEYS)
+    mu, cost, theta = (
+        _numbers([entry[k] for entry in sensors], "sensors[{}]." + k) for k in ("mu", "cost", "theta")
+    )
+    budget = _number(data.get("budget", 1.0), "budget")
+    return _build(f"scenario file {path}", Scenario.from_arrays, mu, cost, theta, budget)
 
 
 def plan_to_dict(plan: AllocationPlan) -> dict:
@@ -109,16 +123,8 @@ def plan_to_dict(plan: AllocationPlan) -> dict:
 
 
 def load_plan(path) -> AllocationPlan:
-    """Read and schema-validate a plan file."""
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise CliError(f"plan file {path} must hold a JSON object")
-    unknown = set(data) - _PLAN_KEYS
-    if unknown:
-        raise CliError(f"plan file {path} has unknown keys: {sorted(unknown)}")
-    missing = {"r", "b", "method", "total_cost"} - set(data)
-    if missing:
-        raise CliError(f"plan file {path} is missing keys: {sorted(missing)}")
+    """Read a plan file; CliError names a bad key, ``r[i]`` or ``AllocationPlan.r[i]``."""
+    data = _read_object(path, "plan", _PLAN_KEYS, _PLAN_KEYS - {"lambda"})
     for key in ("r", "b"):
         if not isinstance(data[key], list) or not data[key]:
             raise CliError(f"plan file {path}: '{key}' must be a nonempty array")
@@ -127,16 +133,14 @@ def load_plan(path) -> AllocationPlan:
     except ValueError as exc:
         raise CliError(f"plan file {path}: unknown method {data['method']!r}") from exc
     lam = data.get("lambda")
-    try:
-        return AllocationPlan(
-            r=tuple(_finite_number(v, "r entry") for v in data["r"]),
-            b=tuple(_finite_number(v, "b entry") for v in data["b"]),
-            method=method,
-            total_cost=_finite_number(data["total_cost"], "total_cost"),
-            lam=None if lam is None else _finite_number(lam, "lambda"),
-        )
-    except ValueError as exc:
-        raise CliError(f"plan file {path}: {exc}") from exc
+    return _build(
+        f"plan file {path}", AllocationPlan,
+        _numbers(data["r"], "r[{}]"),
+        _numbers(data["b"], "b[{}]"),
+        method,
+        _number(data["total_cost"], "total_cost"),
+        None if lam is None else _number(lam, "lambda"),
+    )
 
 
 def _emit(data: dict | list, out_path=None) -> None:
@@ -291,10 +295,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

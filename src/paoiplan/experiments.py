@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import check_feasibility
+from .feasibility import InfeasibleScenarioError
 from .model import Scenario
 from .solver_approx import solve_approx
 from .solver_exact import solve_exact
@@ -64,14 +64,14 @@ def fig2_sweep(c1_values=FIG2_C1_VALUES, theta1_grid=FIG2_THETA1_GRID) -> list[T
             scenario = Scenario.from_arrays(
                 mu=(1.0, 1.0), cost=(c1, FIG2_C2), theta=(theta1, FIG2_THETA2)
             )
-            report = check_feasibility(scenario)
-            if not report.feasible:
+            try:
+                exact = solve_exact(scenario)
+            except InfeasibleScenarioError as exc:
                 logger.warning(
                     "skipping infeasible grid point theta1=%g (load %.6g, budget %g)",
-                    theta1, report.load, scenario.budget,
+                    theta1, exc.report.load, scenario.budget,
                 )
                 continue
-            exact = solve_exact(scenario)
             approx = solve_approx(scenario)
             rows.append(
                 TradeoffRow(c1=float(c1), theta1=float(theta1),
@@ -85,9 +85,9 @@ def fig3_scenario(n: int, c_max: float, seed: int) -> Scenario:
 
     Exponents ramp in steps of 0.01 around a center value of ``0.5/n`` at
     sensor ``n/2``; costs are drawn uniformly from [1, c_max].  Raises
-    ValueError when ``n`` is not a positive even integer, when the ramp
+    ValueError when ``n`` is not a positive even integer, or when the ramp
     drives an exponent to or below zero (which happens once
-    ``0.5/n <= 0.01*(n/2 - 1)``), or when the result is infeasible.
+    ``0.5/n <= 0.01*(n/2 - 1)``).
     """
     if not (isinstance(n, (int, np.integer)) and n > 0 and n % 2 == 0):
         raise ValueError(f"n must be a positive even integer, got {n!r}")
@@ -103,14 +103,8 @@ def fig3_scenario(n: int, c_max: float, seed: int) -> Scenario:
         )
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     cost = rng.uniform(1.0, c_max, size=n)
-    scenario = Scenario.from_arrays(mu=np.ones(n), cost=cost, theta=theta)
-    report = check_feasibility(scenario)
-    if not report.feasible:
-        raise ValueError(
-            f"generated scenario is infeasible: load {report.load:.6g} "
-            f">= budget {scenario.budget:.6g}"
-        )
-    return scenario
+    # Feasible by construction: a positive ramp (n <= 10) has load 0.5 + 0.005n <= 0.55.
+    return Scenario.from_arrays(mu=np.ones(n), cost=cost, theta=theta)
 
 
 def _replication_seed(seed: int, n: int, rep: int) -> int:

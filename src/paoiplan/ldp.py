@@ -32,11 +32,14 @@ class ExponentResult:
 
 def _validate(nu: float, b: float) -> tuple[float, float]:
     # Coerced once: numpy scalars (a plan's entries) would slow every scalar step.
-    if not nu > 0.0:
-        raise ValueError(f"service rate must be positive, got {nu!r}")
-    if not b > 0.0:
-        raise ValueError(f"sampling delay must be positive, got {b!r}")
-    return float(nu), float(b)
+    nu, b = float(nu), float(b)
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"service rate must be finite and positive, got {nu!r}")
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"sampling delay must be finite and positive, got {b!r}")
+    if nu * b == math.inf:
+        raise ValueError(f"nu*b must be finite, got {nu!r} * {b!r}")
+    return nu, b
 
 
 def exponent_variational(nu: float, b: float) -> ExponentResult:

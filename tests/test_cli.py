@@ -17,6 +17,15 @@ def scenario_file(tmp_path):
     return _write
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects the NaN and Infinity literals, which JSON lacks."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 TWO_SYM = {"sensors": [{"mu": 1, "cost": 1, "theta": 0.25}, {"mu": 1, "cost": 1, "theta": 0.25}]}
 BOUNDARY = {"sensors": [{"mu": 1, "cost": 1, "theta": 0.5}, {"mu": 1, "cost": 1, "theta": 0.5}]}
 
@@ -25,7 +34,7 @@ class TestSolveCommand:
     def test_symmetric_plan_output(self, scenario_file, capsys):
         rc = cli.main(["solve", scenario_file(TWO_SYM)])
         assert rc == 0
-        plan = json.loads(capsys.readouterr().out)
+        plan = strict_loads(capsys.readouterr().out)
         assert plan["r"] == [0.5, 0.5]
         assert plan["lambda"] == pytest.approx(8.0, rel=1e-9)
         assert plan["total_cost"] == pytest.approx(8 * math.log(2), rel=1e-10)
@@ -42,7 +51,7 @@ class TestSolveCommand:
         rc = cli.main(["solve", scenario_file(TWO_SYM), "--out", str(out)])
         assert rc == 0
         assert capsys.readouterr().out == ""
-        assert json.loads(out.read_text())["method"] == "exact"
+        assert strict_loads(out.read_text())["method"] == "exact"
 
     def test_convergence_error_exits_3(self, scenario_file, monkeypatch, capsys):
         def boom(scenario):
@@ -57,14 +66,14 @@ class TestFeasibleCommand:
     def test_feasible_exits_0(self, scenario_file, capsys):
         rc = cli.main(["feasible", scenario_file(TWO_SYM)])
         assert rc == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_loads(capsys.readouterr().out)
         assert report["feasible"] is True
         assert report["load"] == 0.5
 
     def test_boundary_exits_2_with_report(self, scenario_file, capsys):
         rc = cli.main(["feasible", scenario_file(BOUNDARY)])
         assert rc == 2
-        report = json.loads(capsys.readouterr().out)
+        report = strict_loads(capsys.readouterr().out)
         assert report["feasible"] is False
 
 
@@ -108,11 +117,71 @@ class TestSchemaValidation:
         assert cli.main(["frobnicate"]) == 1
 
 
+HUGE = 10**399  # a 400-digit JSON integer, beyond float range
+PLAN = {"r": [0.5, 0.5], "b": [3.0, 3.0], "method": "exact", "total_cost": 6.0, "lambda": 8.0}
+
+
+def _sensors(index, **entry):
+    """TWO_SYM with sensor ``index`` updated by ``entry``."""
+    sensors = [dict(sensor) for sensor in TWO_SYM["sensors"]]
+    sensors[index].update(entry)
+    return {"sensors": sensors}
+
+
+def _one_error_line(captured, name):
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert name in lines[0], lines[0]
+
+
+@pytest.mark.parametrize("payload,name", [
+    ([TWO_SYM], "scenario file"),
+    ({**TWO_SYM, "extra": 1}, "extra"),
+    ({"budget": 1.0}, "sensors"),
+    ({"sensors": TWO_SYM["sensors"][0]}, "sensors"),
+    ({"sensors": []}, "sensors"),
+    ({"sensors": [TWO_SYM["sensors"][0], 1.0]}, "sensors[1]"),
+    (_sensors(1, label="a"), "label"),
+    ({"sensors": [{"mu": 1, "cost": 1}]}, "theta"),
+    (_sensors(1, mu=True), "sensors[1].mu"),
+    (_sensors(1, cost="1.0"), "sensors[1].cost"),
+    (_sensors(0, theta=None), "sensors[0].theta"),
+    ({**TWO_SYM, "budget": False}, "budget"),
+    (_sensors(1, mu=math.nan), "Scenario.mu[1]"),
+    (_sensors(1, cost=-1), "Scenario.cost[1]"),
+    (_sensors(1, theta=HUGE), "Scenario.theta[1]"),
+    ({**TWO_SYM, "budget": HUGE}, "Scenario.budget"),
+])
+def test_scenario_schema_errors_name_the_field(scenario_file, capsys, payload, name):
+    assert cli.main(["solve", scenario_file(payload)]) == 1
+    _one_error_line(capsys.readouterr(), name)
+
+
+@pytest.mark.parametrize("change,name", [
+    ({"r": 0.5}, "'r'"),
+    ({"b": []}, "'b'"),
+    ({"r": [0.5, "0.5"]}, "r[1]"),
+    ({"b": [math.nan, 3.0]}, "AllocationPlan.b[0]"),
+    ({"r": [HUGE, 0.5]}, "AllocationPlan.r[0]"),
+    ({"b": [3.0]}, "r, b"),
+    ({"method": "greedy"}, "method"),
+    ({"total_cost": True}, "total_cost"),
+    ({"total_cost": HUGE}, "total_cost"),
+    ({"lambda": HUGE}, "AllocationPlan.lam"),
+])
+def test_plan_schema_errors_name_the_field(scenario_file, tmp_path, capsys, change, name):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({**PLAN, **change}))
+    assert cli.main(["simulate", scenario_file(TWO_SYM), str(plan_path), "--samples", "1000"]) == 1
+    _one_error_line(capsys.readouterr(), name)
+
+
 class TestExponentCommand:
     def test_cross_checked_exponents(self, capsys):
         rc = cli.main(["exponent", "--nu", "1", "--b", "2"])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_loads(capsys.readouterr().out)
         assert payload["psi_root"] == pytest.approx(0.7968121300200199, abs=1e-9)
         assert abs(payload["psi_variational"] - payload["psi_root"]) <= 1e-6
         assert payload["argmin_t"] > 0
@@ -120,12 +189,18 @@ class TestExponentCommand:
     def test_no_decay_regime_serializes_null_minimizer(self, capsys):
         rc = cli.main(["exponent", "--nu", "1", "--b", "1"])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_loads(capsys.readouterr().out)
         assert payload["psi_variational"] == 0.0
         assert payload["argmin_t"] is None
 
     def test_nonpositive_rate_exits_1(self, capsys):
         assert cli.main(["exponent", "--nu", "0", "--b", "2"]) == 1
+
+    @pytest.mark.parametrize("nu,b", [("1", "inf"), ("inf", "2"), ("nan", "2"), ("1e300", "1e300")])
+    def test_nonfinite_input_exits_1(self, capsys, nu, b):
+        # Exit 0 here would print NaN, which is not JSON.
+        assert cli.main(["exponent", "--nu", nu, "--b", b]) == 1
+        _one_error_line(capsys.readouterr(), "must be finite")
 
 
 class TestSimulateRoundTrip:
@@ -133,7 +208,7 @@ class TestSimulateRoundTrip:
         scenario = scenario_file(TWO_SYM)
         plan_path = tmp_path / "plan.json"
         assert cli.main(["solve", scenario, "--out", str(plan_path)]) == 0
-        written = json.loads(plan_path.read_text())
+        written = strict_loads(plan_path.read_text())
 
         loaded = cli.load_plan(plan_path)
         assert list(loaded.r) == written["r"]
@@ -146,7 +221,7 @@ class TestSimulateRoundTrip:
             "--samples", "2000", "--seed", "5", "--ccdf", str(ccdf_path),
         ])
         assert rc == 0
-        estimates = json.loads(capsys.readouterr().out)
+        estimates = strict_loads(capsys.readouterr().out)
         assert len(estimates) == 2
         assert estimates[0]["paoi_samples_summary"]["count"] == 2000
         header = ccdf_path.read_text().splitlines()[0]
@@ -194,7 +269,7 @@ class TestSimulateRoundTrip:
     def test_approx_plan_omits_lambda(self, scenario_file, capsys):
         rc = cli.main(["approx", scenario_file(TWO_SYM)])
         assert rc == 0
-        plan = json.loads(capsys.readouterr().out)
+        plan = strict_loads(capsys.readouterr().out)
         assert "lambda" not in plan
         assert plan["method"] == "approx"
 

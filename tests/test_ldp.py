@@ -77,6 +77,17 @@ class TestExponentVariational:
             exponent_variational(1.0, bad)
 
 
+@pytest.mark.parametrize("nu,b", [
+    (1.0, math.inf), (math.inf, 2.0), (math.nan, 2.0), (1.0, math.nan), (1e300, 1e300),
+])
+def test_both_routes_reject_nonfinite_inputs(nu, b):
+    # A non-finite rate, delay or product would make the variational route return NaN.
+    with pytest.raises(ValueError, match="must be finite"):
+        exponent_variational(nu, b)
+    with pytest.raises(ValueError, match="must be finite"):
+        exponent_root(nu, b)
+
+
 @pytest.mark.parametrize("nu,b", [(1.0, 2.0), (2.0, 1.5), (1.0, 0.5)])
 def test_numpy_scalar_inputs_give_the_python_float_result(nu, b):
     # A plan's delays are numpy scalars; both routes must return what they
