@@ -21,7 +21,7 @@ from .experiments import (
 )
 from .feasibility import InfeasibleScenarioError, check_feasibility
 from .ldp import exponent_root, exponent_variational
-from .model import AllocationPlan, InfeasibleRateError, Scenario, SolveMethod
+from .model import AllocationPlan, Scenario, SolveMethod
 from .sim import SimConfig, TailEstimate, simulate_plan
 from .solver_approx import solve_approx
 from .solver_exact import ConvergenceError, solve_exact
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InfeasibleScenarioError, InfeasibleRateError) as exc:
+    except InfeasibleScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ConvergenceError as exc:

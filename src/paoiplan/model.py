@@ -29,12 +29,25 @@ def _positive_vector(label: str, values) -> np.ndarray:
     vector = np.array(values, dtype=float)
     if vector.ndim != 1:
         raise ValueError(f"{label} must be one-dimensional, got shape {vector.shape}")
-    bad = np.flatnonzero(~(np.isfinite(vector) & (vector > 0.0)))
-    if bad.size:
-        i = int(bad[0])
+    ok = np.isfinite(vector) & (vector > 0.0)
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
         raise ValueError(f"{label}[{i}] must be a finite positive number, got {float(vector[i])!r}")
     vector.flags.writeable = False
     return vector
+
+
+def _rate_and_delay(nu: float, b: float) -> tuple[float, float]:
+    """One sensor's service rate and sampling delay as Python floats, both finite and positive."""
+    # Coerced once: numpy scalars (a plan's entries) would slow every scalar step.
+    nu, b = float(nu), float(b)
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"service rate must be finite and positive, got {nu!r}")
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"sampling delay must be finite and positive, got {b!r}")
+    if nu * b == math.inf:
+        raise ValueError(f"nu*b must be finite, got {nu!r} * {b!r}")
+    return nu, b
 
 
 def _freeze_sensor_vectors(instance, names: tuple[str, ...]) -> None:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AllocationPlan, Scenario
+from .model import AllocationPlan, Scenario, _positive_vector, _rate_and_delay
 
 _FIT_GRID_POINTS = 50
 _MIN_FIT_POINTS = 10
@@ -143,10 +143,7 @@ def simulate_sensor(
     the tail.  ``service_times`` replaces the random draw with a fixed
     sequence (test hook for hand-checked recursions).
     """
-    if not nu > 0.0:
-        raise ValueError(f"service rate must be positive, got {nu!r}")
-    if not b > 0.0:
-        raise ValueError(f"sampling delay must be positive, got {b!r}")
+    nu, b = _rate_and_delay(nu, b)
     if service_times is None:
         total = config.warmup + config.num_samples
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream)))
@@ -156,15 +153,9 @@ def simulate_sensor(
         np.log1p(np.negative(times, out=times), out=times)
         times /= -nu
     else:
-        times = np.array(service_times, dtype=float)
-        if times.ndim != 1 or times.size < 2:
+        times = _positive_vector("service_times", service_times)
+        if times.size < 2:
             raise ValueError("service_times must contain at least two entries")
-        bad = np.flatnonzero(~(np.isfinite(times) & (times > 0.0)))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"service_times must be finite and strictly positive, got {times[i]!r} at index {i}"
-            )
 
     kept = _peak_ages(times, b)[max(0, config.warmup - 1):]
     if kept.size == 0:

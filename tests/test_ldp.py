@@ -40,6 +40,10 @@ class TestExponentRoot:
     def test_no_decay_regime_returns_zero(self, nu, b):
         assert exponent_root(nu, b) == 0.0
 
+    def test_no_floor_near_the_boundary(self):
+        # At c = 1 + 2^-52 the root is about 2(c - 1) = 4.4e-16.
+        assert 0.0 < exponent_root(1.0, 1.0 + 2.0**-52) < 1e-15
+
     def test_round_trip_with_optimal_delay(self):
         for nu in (0.5, 1.0, 2.0):
             for theta in np.linspace(0.05, 0.95, 19) * nu:
@@ -75,6 +79,39 @@ class TestExponentVariational:
             exponent_variational(bad, 2.0)
         with pytest.raises(ValueError):
             exponent_variational(1.0, bad)
+
+
+@pytest.mark.parametrize("k", range(-300, 301, 25))
+def test_both_routes_scale_with_the_rate(k):
+    # psi(nu, b) = nu * psi(1, nu*b) and argmin_t = argmin_t(1, nu*b) / nu,
+    # over the whole float range of nu at nu*b = 2.
+    nu = 10.0**k
+    result = exponent_variational(nu, 2.0 / nu)
+    assert result.psi / nu == pytest.approx(THETA_STAR_1_2, rel=1e-12)
+    assert exponent_root(nu, 2.0 / nu) / nu == pytest.approx(THETA_STAR_1_2, rel=1e-12)
+    assert result.argmin_t * nu == pytest.approx(2.9215536, rel=1e-7)
+
+
+@pytest.mark.parametrize("c", [40.0, 1e3, 1e300, 1e308])
+def test_both_routes_saturate_at_the_rate_for_large_loads(c):
+    # psi/nu = 1 - 1/(x* + c) with x* near e^c, so beyond c of about 37 the
+    # exponent is nu to double precision, up to the largest finite c.
+    assert exponent_variational(2.0, c / 2.0).psi == pytest.approx(2.0, rel=1e-15)
+    assert exponent_root(2.0, c / 2.0) == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("nu,b", [
+    (1.0, 1.1), (0.5, 3.0), (2.0, 1.0), (4.0, 0.75), (0.25, 16.0), (10.0, 0.5),
+])
+def test_minimizer_matches_the_root_identity(nu, b):
+    # The variational minimizer solves ln y = c(1 - 1/y) at y = nu*(t + b),
+    # the root equation again, so t* = 1/(nu - theta*) - b exactly.  A
+    # golden-section search resolves it only until rounding noise in the
+    # objective hides its curvature: up to 2.5e-7 relative on 2000 random
+    # points with nu*b in [1.1, 5].
+    theta = exponent_root(nu, b)
+    expected = 1.0 / (nu - theta) - b
+    assert exponent_variational(nu, b).argmin_t == pytest.approx(expected, rel=3e-7)
 
 
 @pytest.mark.parametrize("nu,b", [

@@ -117,13 +117,22 @@ class TestDeliveryRecursion:
     def test_rejects_degenerate_service_sequences(self):
         with pytest.raises(ValueError, match="at least two"):
             simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=[0.5])
-        with pytest.raises(ValueError, match="strictly positive"):
+        with pytest.raises(ValueError, match=r"service_times\[1\] must be a finite positive number"):
             simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=[0.5, 0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_service_times(self, bad):
-        with pytest.raises(ValueError, match="finite and strictly positive.*index 1"):
+        with pytest.raises(ValueError, match=r"service_times\[1\] must be a finite positive number"):
             simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=[0.5, bad])
+
+    @pytest.mark.parametrize("nu,b", [
+        (1.0, math.inf), (math.inf, 2.0), (math.nan, 2.0), (1.0, math.nan), (1e300, 1e300),
+    ])
+    def test_rejects_non_finite_rate_and_delay(self, nu, b):
+        # The exponent routes' check: past it, an infinite delay would give a
+        # NaN summary and an infinite rate a summary of b alone.
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate_sensor(nu, b, HOOK_CONFIG, service_times=[0.5, 0.5])
 
 
 class TestBlockedRecursion:
