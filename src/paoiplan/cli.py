@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .experiments import (
     FIG3_DEFAULT_N_VALUES,
@@ -152,24 +153,9 @@ def _emit(data: dict | list, out_path=None) -> None:
         print(text)
 
 
-def _tail_estimate_to_dict(estimate: TailEstimate) -> dict:
-    summary = estimate.paoi_samples_summary
-    return {
-        "paoi_samples_summary": {
-            "count": summary.count,
-            "mean": summary.mean,
-            "max": summary.max,
-        },
-        "fitted_exponent": estimate.fitted_exponent,
-        "stderr": estimate.stderr,
-        "fit_error": estimate.fit_error,
-        "ccdf_points": [[x, p] for x, p in estimate.ccdf_points],
-    }
-
-
 def _cmd_feasible(args) -> int:
     report = check_feasibility(load_scenario(args.scenario))
-    _emit(report.to_dict())
+    _emit(asdict(report))
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
@@ -202,7 +188,7 @@ def _cmd_simulate(args) -> int:
     plan = load_plan(args.plan)
     config = SimConfig(num_samples=args.samples, seed=args.seed)
     estimates = simulate_plan(scenario, plan, config)
-    _emit([_tail_estimate_to_dict(e) for e in estimates])
+    _emit([asdict(e) for e in estimates])
     if args.ccdf:
         _write_ccdf_csv(estimates, args.ccdf)
     return EXIT_OK

@@ -9,18 +9,14 @@ plot-ready CSV.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import InfeasibleScenarioError
 from .model import Scenario
 from .solver_approx import solve_approx
 from .solver_exact import solve_exact
-
-logger = logging.getLogger(__name__)
 
 FIG2_C1_VALUES = (1.0, 5.0, 10.0)
 FIG2_THETA1_GRID = tuple(round(0.05 * k, 2) for k in range(1, 14)) + (0.68, 0.69, 0.695)
@@ -51,27 +47,20 @@ class CostGapRow:
     stderr_gap: float
 
 
-def fig2_sweep(c1_values=FIG2_C1_VALUES, theta1_grid=FIG2_THETA1_GRID) -> list[TradeoffRow]:
-    """Solve the two-sensor system over a grid of (cost, exponent) for sensor 1.
+def fig2_sweep() -> list[TradeoffRow]:
+    """Solve the two-sensor system over the grid of (cost, exponent) for sensor 1.
 
-    The second sensor is fixed (theta 0.3, unit cost and rate).  Grid points
-    that make the scenario infeasible are skipped with a logged notice.
-    Rows are ordered by cost value, then ascending exponent.
+    The second sensor is fixed (theta 0.3, unit cost and rate), so the load
+    is at most 0.695 + 0.3 < 1 and every grid point is feasible.  Rows are
+    ordered by cost value, then ascending exponent.
     """
     rows = []
-    for c1 in c1_values:
-        for theta1 in sorted(theta1_grid):
+    for c1 in FIG2_C1_VALUES:
+        for theta1 in FIG2_THETA1_GRID:
             scenario = Scenario.from_arrays(
                 mu=(1.0, 1.0), cost=(c1, FIG2_C2), theta=(theta1, FIG2_THETA2)
             )
-            try:
-                exact = solve_exact(scenario)
-            except InfeasibleScenarioError as exc:
-                logger.warning(
-                    "skipping infeasible grid point theta1=%g (load %.6g, budget %g)",
-                    theta1, exc.report.load, scenario.budget,
-                )
-                continue
+            exact = solve_exact(scenario)
             approx = solve_approx(scenario)
             rows.append(
                 TradeoffRow(c1=float(c1), theta1=float(theta1),
@@ -85,14 +74,14 @@ def fig3_scenario(n: int, c_max: float, seed: int) -> Scenario:
 
     Exponents ramp in steps of 0.01 around a center value of ``0.5/n`` at
     sensor ``n/2``; costs are drawn uniformly from [1, c_max].  Raises
-    ValueError when ``n`` is not a positive even integer, or when the ramp
-    drives an exponent to or below zero (which happens once
-    ``0.5/n <= 0.01*(n/2 - 1)``).
+    ValueError when ``n`` is not a positive even integer, when ``c_max`` is
+    below 1 or not finite, or when the ramp drives an exponent to or below
+    zero (which happens once ``0.5/n <= 0.01*(n/2 - 1)``).
     """
     if not (isinstance(n, (int, np.integer)) and n > 0 and n % 2 == 0):
         raise ValueError(f"n must be a positive even integer, got {n!r}")
-    if not c_max >= 1.0:
-        raise ValueError(f"c_max must be at least 1, got {c_max!r}")
+    if not 1.0 <= c_max < math.inf:
+        raise ValueError(f"c_max must be at least 1 and finite, got {c_max!r}")
     half = n // 2
     center = 0.5 / n
     theta = [center + 0.01 * (i - half) for i in range(1, n + 1)]

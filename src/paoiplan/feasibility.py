@@ -24,14 +24,6 @@ class FeasibilityReport:
     slack: float
     binding_sensors: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "load": self.load,
-            "slack": self.slack,
-            "binding_sensors": list(self.binding_sensors),
-        }
-
 
 class InfeasibleScenarioError(ValueError):
     """The requested outage exponents exceed what the budget can support."""

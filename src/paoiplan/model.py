@@ -208,13 +208,17 @@ def rate_function_exponential(nu: float, x: float) -> float:
     """Large-deviations rate function sup_g {g*x - LMGF(g)} of the service time.
 
     Closed form ``nu*x - 1 - ln(nu*x)`` on ``x > 0``; ``+inf`` off the
-    support (service times are positive).
+    support (service times are positive) and where ``nu*x`` overflows.
     """
     if not nu > 0.0:
         raise ValueError(f"service rate must be positive, got {nu!r}")
-    if x <= 0.0:
+    y = nu * x
+    if y <= 0.0:
+        # Off the support, or nu*x underflowed: then ln(nu*x) = ln(nu) + ln(x).
+        return math.inf if x <= 0.0 else -1.0 - math.log(nu) - math.log(x)
+    if y == math.inf:
         return math.inf
-    return nu * x - 1.0 - math.log(nu * x)
+    return y - 1.0 - math.log(y)
 
 
 def optimal_sampling_delay(nu: float, theta: float) -> float:

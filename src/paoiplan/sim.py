@@ -6,20 +6,23 @@ service times are i.i.d. exponential.  The peak age recorded at each
 delivery is the delivery time minus the previous sample's generation time.
 The queue runs as Lindley's recursion on the waiting time, evaluated a
 fixed-size block at a time with numpy prefix sums and prefix minima.  The
-empirical complementary CDF of the peaks is fitted on a log scale over a
-quantile window, and the negated slope estimates the decay exponent that
-the planner promised.
+first 10 000 draws are a warm-up whose peaks are discarded.  The empirical
+complementary CDF of the kept peaks is fitted on a log scale between their
+0.90 and 0.999 quantiles, and the negated slope estimates the decay
+exponent that the planner promised.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .model import AllocationPlan, Scenario, _positive_vector, _rate_and_delay
+from .model import AllocationPlan, Scenario, _rate_and_delay
 
+_WARMUP = 10_000
+_FIT_LO_QUANTILE = 0.90
+_FIT_HI_QUANTILE = 0.999
 _FIT_GRID_POINTS = 50
 _MIN_FIT_POINTS = 10
 _LINDLEY_BLOCK = 4096
@@ -27,24 +30,14 @@ _LINDLEY_BLOCK = 4096
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sample counts, seed, and the quantile window for the tail fit."""
+    """Number of recorded peak-age samples and the seed of the random draw."""
 
     num_samples: int = 1_000_000
-    warmup: int = 10_000
     seed: int = 0
-    fit_lo_quantile: float = 0.90
-    fit_hi_quantile: float = 0.999
 
     def __post_init__(self) -> None:
         if self.num_samples < 1000:
             raise ValueError(f"num_samples must be at least 1000, got {self.num_samples!r}")
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be nonnegative, got {self.warmup!r}")
-        if not (0.0 < self.fit_lo_quantile < self.fit_hi_quantile < 1.0):
-            raise ValueError(
-                "fit quantiles must satisfy 0 < lo < hi < 1, got "
-                f"{self.fit_lo_quantile!r} and {self.fit_hi_quantile!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -56,7 +49,7 @@ class PaoiSummary:
     max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TailEstimate:
     """Empirical tail of the peak age plus the fitted decay exponent.
 
@@ -65,10 +58,10 @@ class TailEstimate:
     """
 
     paoi_samples_summary: PaoiSummary
-    ccdf_points: tuple[tuple[float, float], ...]
     fitted_exponent: float | None
     stderr: float | None
     fit_error: str | None = None
+    ccdf_points: tuple[tuple[float, float], ...]
 
 
 def _peak_ages(times: np.ndarray, b: float) -> np.ndarray:
@@ -127,43 +120,25 @@ def _fit_tail(
     return points, -slope, stderr, None
 
 
-def simulate_sensor(
-    nu: float,
-    b: float,
-    config: SimConfig,
-    *,
-    stream: int = 0,
-    service_times: Sequence[float] | None = None,
-) -> TailEstimate:
+def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) -> TailEstimate:
     """Simulate one sensor and estimate its peak-age tail exponent.
 
-    Draws ``warmup + num_samples`` exponential(rate ``nu``) service times by
+    Draws ``_WARMUP + num_samples`` exponential(rate ``nu``) service times by
     inverse transform from a substream selected by ``(config.seed, stream)``,
     runs the FCFS delivery recursion, discards the warm-up peaks, and fits
-    the tail.  ``service_times`` replaces the random draw with a fixed
-    sequence (test hook for hand-checked recursions).
+    the tail over the 0.90-0.999 quantile window.
     """
     nu, b = _rate_and_delay(nu, b)
-    if service_times is None:
-        total = config.warmup + config.num_samples
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream)))
-        # -log1p(-u)/nu, evaluated in place: sign flips are exact, so the
-        # values are the same as the out-of-place expression.
-        times = rng.random(total)
-        np.log1p(np.negative(times, out=times), out=times)
-        times /= -nu
-    else:
-        times = _positive_vector("service_times", service_times)
-        if times.size < 2:
-            raise ValueError("service_times must contain at least two entries")
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream)))
+    # -log1p(-u)/nu, evaluated in place: sign flips are exact, so the
+    # values are the same as the out-of-place expression.
+    times = rng.random(_WARMUP + config.num_samples)
+    np.log1p(np.negative(times, out=times), out=times)
+    times /= -nu
 
-    kept = _peak_ages(times, b)[max(0, config.warmup - 1):]
-    if kept.size == 0:
-        raise ValueError("warmup leaves no recorded peak-age samples")
+    kept = _peak_ages(times, b)[_WARMUP - 1:]
     summary = PaoiSummary(count=int(kept.size), mean=float(kept.mean()), max=float(kept.max()))
-    points, exponent, stderr, fit_error = _fit_tail(
-        kept, config.fit_lo_quantile, config.fit_hi_quantile
-    )
+    points, exponent, stderr, fit_error = _fit_tail(kept, _FIT_LO_QUANTILE, _FIT_HI_QUANTILE)
     return TailEstimate(
         paoi_samples_summary=summary,
         ccdf_points=points,

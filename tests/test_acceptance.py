@@ -164,8 +164,9 @@ def test_criterion_6_tradeoff_reproduction():
     start = time.perf_counter()
     ok = True
     details = []
+    sweep = fig2_sweep()
     for c1 in (1.0, 5.0, 10.0):
-        rows = fig2_sweep(c1_values=(c1,))
+        rows = [row for row in sweep if row.c1 == c1]
         delays = [row.exact_b1 for row in rows]
         monotone = all(a < b for a, b in zip(delays, delays[1:]))
         boundary = next(row for row in rows if row.theta1 == 0.695)
@@ -179,7 +180,7 @@ def test_criterion_6_tradeoff_reproduction():
 
 def test_criterion_7_simulator_vs_theory():
     start = time.perf_counter()
-    config = SimConfig(num_samples=1_000_000, warmup=10_000, seed=SIM_SEED)
+    config = SimConfig(num_samples=1_000_000, seed=SIM_SEED)
 
     single = simulate_sensor(1.0, 3.0, config)
     single_err = abs(single.fitted_exponent - EXPONENT_RATE1_DELAY3) / EXPONENT_RATE1_DELAY3

@@ -286,6 +286,14 @@ class TestSweepCommands:
     def test_fig3_rejects_bad_n_list(self, tmp_path, capsys):
         assert cli.main(["fig3", "--n", "4,x", "--out", str(tmp_path / "f.csv")]) == 1
 
+    def test_fig3_rejects_infinite_cost_ceiling(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        assert cli.main(["fig3", "--n", "4", "--cmax", "inf", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "c_max" in captured.err
+        assert not out.exists()
+
     def test_fig3_default_sizes_hit_the_generation_limit(self, tmp_path, capsys):
         # The default size list ends at 16, which the exponent ramp cannot
         # produce; the command must fail loudly rather than emit a partial CSV.

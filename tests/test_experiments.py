@@ -1,4 +1,4 @@
-import logging
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +43,8 @@ class TestFig3Scenario:
     def test_rejects_cost_ceiling_below_one(self):
         with pytest.raises(ValueError, match="c_max"):
             fig3_scenario(4, 0.5, seed=99)
+        with pytest.raises(ValueError, match="c_max"):
+            fig3_scenario(4, math.inf, seed=99)
 
     def test_deterministic_per_seed(self):
         assert fig3_scenario(4, 10.0, seed=5) == fig3_scenario(4, 10.0, seed=5)
@@ -87,30 +89,33 @@ class TestFig3Sweep:
         assert forward[1] == backward[0]
 
 
-class TestFig2Sweep:
-    def test_infeasible_grid_points_skipped_with_notice(self, caplog):
-        grid = (0.3, 0.7, 0.75)
-        with caplog.at_level(logging.WARNING, logger="paoiplan.experiments"):
-            rows = fig2_sweep(c1_values=(1.0,), theta1_grid=grid)
-        assert [row.theta1 for row in rows] == [0.3]
-        assert sum("skipping infeasible" in rec.message for rec in caplog.records) == 2
+@pytest.fixture(scope="module")
+def fig2_rows():
+    rows = fig2_sweep()
 
-    def test_rows_sorted_by_theta_within_each_cost(self):
-        rows = fig2_sweep(c1_values=(1.0, 5.0), theta1_grid=(0.3, 0.1, 0.2))
+    def _select(c1_values, theta1_values=FIG2_THETA1_GRID):
+        return [row for row in rows if row.c1 in c1_values and row.theta1 in theta1_values]
+
+    return _select
+
+
+class TestFig2Sweep:
+    def test_rows_sorted_by_theta_within_each_cost(self, fig2_rows):
+        rows = fig2_rows((1.0, 5.0), (0.3, 0.1, 0.2))
         assert [(r.c1, r.theta1) for r in rows] == [
             (1.0, 0.1), (1.0, 0.2), (1.0, 0.3),
             (5.0, 0.1), (5.0, 0.2), (5.0, 0.3),
         ]
 
-    def test_exact_delay_strictly_increases_with_exponent(self):
-        rows = fig2_sweep(c1_values=(1.0,))
+    def test_exact_delay_strictly_increases_with_exponent(self, fig2_rows):
+        rows = fig2_rows((1.0,))
         delays = [row.exact_b1 for row in rows]
         assert len(delays) == len(FIG2_THETA1_GRID)
         assert all(a < b for a, b in zip(delays, delays[1:]))
 
-    def test_approximation_merges_near_the_boundary(self):
+    def test_approximation_merges_near_the_boundary(self, fig2_rows):
         # 0.5 is asymmetric and far from the feasibility edge, 0.695 hugs it.
-        rows = fig2_sweep(c1_values=(1.0,), theta1_grid=(0.5, 0.695))
+        rows = fig2_rows((1.0,), (0.5, 0.695))
         interior, boundary = rows
         assert abs(boundary.approx_b1 / boundary.exact_b1 - 1.0) <= 0.02
         assert abs(interior.approx_b1 / interior.exact_b1 - 1.0) > abs(
@@ -119,8 +124,8 @@ class TestFig2Sweep:
 
 
 class TestCsvWriters:
-    def test_fig2_csv_layout(self, tmp_path):
-        rows = fig2_sweep(c1_values=(1.0,), theta1_grid=(0.2, 0.3))
+    def test_fig2_csv_layout(self, tmp_path, fig2_rows):
+        rows = fig2_rows((1.0,), (0.2, 0.3))
         path = tmp_path / "fig2.csv"
         write_fig2_csv(rows, path)
         lines = path.read_text().splitlines()

@@ -237,6 +237,18 @@ class TestRateFunction:
     def test_off_support_is_inf(self, x):
         assert rate_function_exponential(1.0, x) == math.inf
 
+    @pytest.mark.parametrize("nu,x", [(1.0, math.inf), (1e200, 1e200)])
+    def test_overflowing_product_is_inf(self, nu, x):
+        assert rate_function_exponential(nu, x) == math.inf
+
+    def test_underflowing_product_stays_finite(self):
+        # nu*x = 1e-400 rounds to 0, but the rate is 1e-400 - 1 + 400 ln 10.
+        value = rate_function_exponential(1e-200, 1e-200)
+        assert value == pytest.approx(400.0 * math.log(10.0) - 1.0, rel=1e-15)
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(rate_function_exponential(1.0, math.nan))
+
     @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
     def test_matches_brute_force_legendre_transform(self, nu):
         # Independent oracle: supremum of gamma*x - LMGF(gamma) on a dense grid.

@@ -5,17 +5,24 @@ import pytest
 
 from paoiplan import (
     AllocationPlan,
+    PaoiSummary,
     Scenario,
     SimConfig,
     SolveMethod,
+    TailEstimate,
     exponent_root,
     simulate_plan,
     simulate_sensor,
     solve_exact,
 )
-from paoiplan.sim import _LINDLEY_BLOCK, _fit_tail, _peak_ages
-
-HOOK_CONFIG = SimConfig(warmup=0, seed=1)
+from paoiplan.sim import (
+    _FIT_HI_QUANTILE,
+    _FIT_LO_QUANTILE,
+    _LINDLEY_BLOCK,
+    _WARMUP,
+    _fit_tail,
+    _peak_ages,
+)
 
 
 def reference_peak_ages(service_times: list[float], b: float) -> list[float]:
@@ -68,62 +75,50 @@ def exponential_times(nu: float, count: int, seed: int) -> np.ndarray:
 class TestSimConfig:
     def test_defaults(self):
         config = SimConfig()
-        assert config.num_samples == 1_000_000
-        assert config.warmup == 10_000
-        assert (config.fit_lo_quantile, config.fit_hi_quantile) == (0.90, 0.999)
+        assert (config.num_samples, config.seed) == (1_000_000, 0)
+        assert _WARMUP == 10_000
+        assert (_FIT_LO_QUANTILE, _FIT_HI_QUANTILE) == (0.90, 0.999)
 
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError, match="num_samples"):
             SimConfig(num_samples=999)
 
-    def test_rejects_negative_warmup(self):
-        with pytest.raises(ValueError, match="warmup"):
-            SimConfig(warmup=-1)
-
-    @pytest.mark.parametrize("lo,hi", [(0.9, 0.9), (0.99, 0.9), (0.0, 0.5), (0.9, 1.0)])
-    def test_rejects_bad_quantile_window(self, lo, hi):
-        with pytest.raises(ValueError, match="quantiles"):
-            SimConfig(fit_lo_quantile=lo, fit_hi_quantile=hi)
-
 
 class TestDeliveryRecursion:
     def test_no_queueing_case(self):
-        estimate = simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=[0.5, 0.5])
-        summary = estimate.paoi_samples_summary
-        assert (summary.count, summary.mean, summary.max) == (1, 1.5, 1.5)
+        assert _peak_ages(np.array([0.5, 0.5]), 1.0).tolist() == [1.5]
 
     def test_queueing_case(self):
-        estimate = simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=[1.5, 0.5])
-        assert estimate.paoi_samples_summary.mean == 2.0
+        assert _peak_ages(np.array([1.5, 0.5]), 1.0).tolist() == [2.0]
 
     def test_longer_hand_computed_sequence(self):
         # D: 0.5, 1.5, 4.5, 5.0, 6.5, 6.75 against samples at 0, 1, 2, 3, 4, 5.
-        times = [0.5, 0.5, 2.5, 0.5, 1.5, 0.25]
-        estimate = simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=times)
-        summary = estimate.paoi_samples_summary
-        assert summary.count == 5
-        assert summary.mean == pytest.approx(np.mean([1.5, 3.5, 3.0, 3.5, 2.75]), abs=1e-15)
-        assert summary.max == 3.5
+        ages = _peak_ages(np.array([0.5, 0.5, 2.5, 0.5, 1.5, 0.25]), 1.0)
+        assert ages.size == 5
+        assert ages.mean() == pytest.approx(np.mean([1.5, 3.5, 3.0, 3.5, 2.75]), abs=1e-15)
+        assert ages.max() == 3.5
 
     def test_warmup_discards_initial_peaks(self):
-        times = [0.5, 0.5, 2.5, 0.5, 1.5, 0.25]
-        config = SimConfig(warmup=3, seed=1)
-        estimate = simulate_sensor(1.0, 1.0, config, service_times=times)
-        summary = estimate.paoi_samples_summary
-        # Peaks for packets 4..6 survive; the queue state still carries over.
-        assert summary.count == 3
-        assert summary.mean == pytest.approx(np.mean([3.0, 3.5, 2.75]), abs=1e-15)
-
-    def test_rejects_degenerate_service_sequences(self):
-        with pytest.raises(ValueError, match="at least two"):
-            simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=[0.5])
-        with pytest.raises(ValueError, match=r"service_times\[1\] must be a finite positive number"):
-            simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=[0.5, 0.0])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_service_times(self, bad):
-        with pytest.raises(ValueError, match=r"service_times\[1\] must be a finite positive number"):
-            simulate_sensor(1.0, 1.0, HOOK_CONFIG, service_times=[0.5, bad])
+        # The estimate is the fit of the peaks after the warm-up draws; the
+        # queue state still carries over from the warm-up.
+        nu, b, seed, stream = 1.3, 1.1, 5, 2
+        for num_samples in (1000, 4097):
+            config = SimConfig(num_samples=num_samples, seed=seed)
+            estimate = simulate_sensor(nu, b, config, stream=stream)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
+            times = -np.log1p(-rng.random(_WARMUP + num_samples)) / nu
+            kept = _peak_ages(times, b)[_WARMUP - 1:]
+            assert estimate.paoi_samples_summary.count == kept.size == num_samples
+            points, exponent, stderr, fit_error = _fit_tail(kept, _FIT_LO_QUANTILE, _FIT_HI_QUANTILE)
+            assert estimate == TailEstimate(
+                paoi_samples_summary=PaoiSummary(
+                    count=num_samples, mean=float(kept.mean()), max=float(kept.max())
+                ),
+                ccdf_points=points,
+                fitted_exponent=exponent,
+                stderr=stderr,
+                fit_error=fit_error,
+            )
 
     @pytest.mark.parametrize("nu,b", [
         (1.0, math.inf), (math.inf, 2.0), (math.nan, 2.0), (1.0, math.nan), (1e300, 1e300),
@@ -132,7 +127,7 @@ class TestDeliveryRecursion:
         # The exponent routes' check: past it, an infinite delay would give a
         # NaN summary and an infinite rate a summary of b alone.
         with pytest.raises(ValueError, match="must be finite"):
-            simulate_sensor(nu, b, HOOK_CONFIG, service_times=[0.5, 0.5])
+            simulate_sensor(nu, b, SimConfig(num_samples=1000))
 
 
 class TestBlockedRecursion:
@@ -177,13 +172,13 @@ class TestFitTailIdentity:
 
 class TestTailEstimate:
     def test_determinism_per_seed(self):
-        config = SimConfig(num_samples=5000, warmup=100, seed=9)
+        config = SimConfig(num_samples=5000, seed=9)
         first = simulate_sensor(1.0, 2.0, config)
         second = simulate_sensor(1.0, 2.0, config)
         assert first == second
 
     def test_streams_are_independent(self):
-        config = SimConfig(num_samples=5000, warmup=100, seed=9)
+        config = SimConfig(num_samples=5000, seed=9)
         base = simulate_sensor(1.0, 2.0, config, stream=0)
         other = simulate_sensor(1.0, 2.0, config, stream=1)
         assert base.paoi_samples_summary != other.paoi_samples_summary
@@ -200,25 +195,23 @@ class TestTailEstimate:
 
     def test_ccdf_matches_direct_counting(self):
         ages = [1.5, 3.5, 3.0, 3.5, 2.75]
-        config = SimConfig(warmup=0, seed=1, fit_lo_quantile=0.05, fit_hi_quantile=0.95)
-        estimate = simulate_sensor(1.0, 1.0, config, service_times=[0.5, 0.5, 2.5, 0.5, 1.5, 0.25])
-        assert len(estimate.ccdf_points) == 50
-        for x, p in estimate.ccdf_points:
+        points = _fit_tail(_peak_ages(np.array([0.5, 0.5, 2.5, 0.5, 1.5, 0.25]), 1.0), 0.05, 0.95)[0]
+        assert len(points) == 50
+        for x, p in points:
             assert p == pytest.approx(np.mean(np.asarray(ages) >= x), abs=1e-15)
-        probabilities = [p for _, p in estimate.ccdf_points]
+        probabilities = [p for _, p in points]
         assert all(a >= b for a, b in zip(probabilities, probabilities[1:]))
 
     def test_ccdf_is_one_at_or_below_minimum_sample(self):
         # Peaks 2, 2, 4, 3.5: the 0.2-quantile grid start sits on the
         # duplicated minimum, where the empirical CCDF must be exactly 1.
-        config = SimConfig(warmup=0, seed=1, fit_lo_quantile=0.2, fit_hi_quantile=0.95)
-        estimate = simulate_sensor(1.0, 1.0, config, service_times=[1.0, 1.0, 1.0, 3.0, 0.5])
-        x0, p0 = estimate.ccdf_points[0]
+        points = _fit_tail(_peak_ages(np.array([1.0, 1.0, 1.0, 3.0, 0.5]), 1.0), 0.2, 0.95)[0]
+        x0, p0 = points[0]
         assert x0 == 2.0
         assert p0 == 1.0
 
     def test_degenerate_window_reports_fit_error(self):
-        config = SimConfig(num_samples=1000, warmup=0, seed=3)
+        config = SimConfig(num_samples=1000, seed=3)
         estimate = simulate_sensor(1.0, 3.0, config)
         assert estimate.fitted_exponent is None
         assert estimate.stderr is None
@@ -226,7 +219,7 @@ class TestTailEstimate:
 
     @pytest.mark.parametrize("nu,b", [(1.0, 2.0), (1.0, 3.0), (2.0, 1.5)])
     def test_fitted_exponent_tracks_theory(self, nu, b):
-        config = SimConfig(num_samples=1_000_000, warmup=10_000, seed=42)
+        config = SimConfig(num_samples=1_000_000, seed=42)
         estimate = simulate_sensor(nu, b, config)
         target = exponent_root(nu, b)
         assert estimate.fit_error is None
@@ -273,7 +266,7 @@ class TestSimulatePlan:
             method=SolveMethod.EXACT,
             total_cost=math.fsum(c * b for c, b in zip(scenario.cost, doubled)),
         )
-        config = SimConfig(num_samples=300_000, warmup=3_000, seed=10)
+        config = SimConfig(num_samples=300_000, seed=10)
         estimates = simulate_plan(scenario, plan, config)
         for estimate, r_i, b_i in zip(estimates, plan.r, plan.b):
             target = exponent_root(1.0 * r_i, b_i)
@@ -290,6 +283,6 @@ class TestSimulatePlan:
     def test_degenerate_config_reports_fit_error_per_sensor(self):
         scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.25))
         plan = solve_exact(scenario)
-        estimates = simulate_plan(scenario, plan, SimConfig(num_samples=1000, warmup=0, seed=2))
+        estimates = simulate_plan(scenario, plan, SimConfig(num_samples=1000, seed=2))
         assert all(e.fitted_exponent is None for e in estimates)
         assert all(e.fit_error for e in estimates)
