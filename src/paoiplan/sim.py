@@ -86,13 +86,37 @@ def _peak_ages(times: np.ndarray, b: float) -> np.ndarray:
     return ages
 
 
+def _quantiles(ages: np.ndarray, lo_quantile: float, hi_quantile: float) -> tuple[float, float]:
+    # np.quantile(ages, (lo, hi)) bit for bit, for lo <= hi.  Its default
+    # linear method reads order statistics k and k + 1 at the virtual index
+    # (n - 1)*q and interpolates between them as numpy's _lerp does; from
+    # index n - 1 on it returns the maximum.  Partitioning at one kth at a
+    # time stays on numpy's fast path, which np.quantile's partition at
+    # four kth values leaves.  Each partition runs on the part above the
+    # previous one, and statistic k + 1 is the minimum above k.
+    n = ages.size
+    upper, offset = ages.copy(), 0
+    values = []
+    for q in (lo_quantile, hi_quantile):
+        index = (n - 1) * q
+        if index >= n - 1:
+            values.append(float(upper.max()))
+            continue
+        k = math.floor(index)
+        upper.partition(k - offset)
+        upper, offset = upper[k - offset:], k
+        a, b, t = float(upper[0]), float(upper[1:].min()), index - k
+        values.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return values[0], values[1]
+
+
 def _fit_tail(
     ages: np.ndarray, lo_quantile: float, hi_quantile: float
 ) -> tuple[tuple[tuple[float, float], ...], float | None, float | None, str | None]:
     # Only samples at or above x_lo reach the grid, so sorting that tail
     # (about 1 - lo_quantile of them) gives the same counts as a full sort.
     n = ages.size
-    x_lo, x_hi = np.quantile(ages, (lo_quantile, hi_quantile)).tolist()
+    x_lo, x_hi = _quantiles(ages, lo_quantile, hi_quantile)
     tail = np.sort(ages[ages >= x_lo])
     if x_hi > x_lo:
         grid = np.linspace(x_lo, x_hi, _FIT_GRID_POINTS)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from paoiplan import (
     exponent_root,
@@ -15,6 +16,34 @@ from paoiplan import (
 # variational objective (agreement to 2e-11).
 THETA_STAR_1_2 = 0.7968121300200199
 THETA_STAR_1_3 = 0.9404797907073597
+
+
+def reference_exponent_root(nu: float, b: float) -> float:
+    # Bisection of x = theta/nu on LMGF(x) < c*x inside (0, 1 - e^-c] at
+    # unit rate, until the midpoint stops moving.
+    c = nu * b
+    if c <= 1.0:
+        return 0.0
+    lo, hi = 0.0, -math.expm1(-c)
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if lmgf_exponential(1.0, mid) < c * mid:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return nu * mid
+
+
+def root_allowance(nu: float, b: float, psi: float) -> float:
+    # max(4 ulp(psi), 2 s), where s = nu*x/F'(x)*ulp(c) is how far the root
+    # x = psi/nu of F(x) = -log1p(-x) - c*x moves when c = nu*b moves by one
+    # ulp.  Past c = 2^53, F' at the largest float below 1 is negative and
+    # s is dropped.
+    c, x = nu * b, psi / nu
+    slope = 1.0 / (1.0 - x) - c
+    s = nu * x / slope * math.ulp(c) if slope > 0.0 else 0.0
+    return max(4.0 * math.ulp(psi), 2.0 * s)
 
 
 class TestExponentRoot:
@@ -43,6 +72,13 @@ class TestExponentRoot:
     def test_no_floor_near_the_boundary(self):
         # At c = 1 + 2^-52 the root is about 2(c - 1) = 4.4e-16.
         assert 0.0 < exponent_root(1.0, 1.0 + 2.0**-52) < 1e-15
+
+    @settings(max_examples=400)
+    @given(c=st.floats(1.0 + 2.0**-52, 800.0), nu=st.floats(1e-3, 1e3))
+    def test_matches_the_bisection_within_the_load_sensitivity(self, c, nu):
+        b = c / nu
+        root = exponent_root(nu, b)
+        assert abs(root - reference_exponent_root(nu, b)) <= root_allowance(nu, b, root)
 
     def test_round_trip_with_optimal_delay(self):
         for nu in (0.5, 1.0, 2.0):
@@ -98,6 +134,34 @@ def test_both_routes_saturate_at_the_rate_for_large_loads(c):
     # exponent is nu to double precision, up to the largest finite c.
     assert exponent_variational(2.0, c / 2.0).psi == pytest.approx(2.0, rel=1e-15)
     assert exponent_root(2.0, c / 2.0) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_both_routes_stay_within_zero_and_the_rate():
+    # Past c of about 37.5 the variational objective rounds above 1 on its
+    # flat far side; the true psi/nu is below 1.
+    outside = [
+        (c, psi)
+        for c in [*np.linspace(1.001, 800.0, 4000).tolist(), 1e3, 1e300, 1e308]
+        for psi in (exponent_variational(1.0, c).psi, exponent_root(1.0, c))
+        if not 0.0 <= psi <= 1.0
+    ]
+    assert outside == []
+
+
+@given(
+    nu=st.floats(1e-300, 1e300),
+    c=st.floats(1.0 + 2.0**-52, 1e308),
+)
+def test_both_routes_hold_over_the_float_range(nu, c):
+    b = c / nu
+    assume(math.isfinite(b))
+    root = exponent_root(nu, b)
+    psi = exponent_variational(nu, b).psi
+    assert 0.0 <= root <= nu
+    assert 0.0 <= psi <= nu
+    assert abs(psi - root) <= 1e-6 * nu
+    unit = exponent_root(1.0, nu * b)
+    assert abs(root / nu - unit) <= root_allowance(1.0, nu * b, unit)
 
 
 @pytest.mark.parametrize("nu,b", [

@@ -22,6 +22,7 @@ from paoiplan.sim import (
     _WARMUP,
     _fit_tail,
     _peak_ages,
+    _quantiles,
 )
 
 
@@ -168,6 +169,16 @@ class TestFitTailIdentity:
             lo = float(rng.uniform(0.05, 0.95))
             hi = float(rng.uniform(lo, 1.0))
             assert _fit_tail(ages, lo, hi) == reference_fit_tail(ages, lo, hi), (case, size, lo, hi)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, 0.0), (0.5, 0.5), (0.9, 0.999), (0.25, 0.75),
+        (0.5, math.nextafter(1.0, 0.0)), (0.999, 1.0), (1.0, 1.0),
+    ])
+    def test_quantiles_match_numpy_bit_for_bit(self, size, lo, hi):
+        # Both interpolation branches, and from index n - 1 on the maximum.
+        ages = 1.0 + np.random.default_rng(size).exponential(1.0, size)
+        assert _quantiles(ages, lo, hi) == tuple(np.quantile(ages, (lo, hi)).tolist())
 
 
 class TestTailEstimate:
