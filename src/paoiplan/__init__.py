@@ -11,18 +11,10 @@ promised tail exponents.
 
 from .feasibility import FeasibilityReport, InfeasibleScenarioError, check_feasibility
 from .ldp import ExponentResult, exponent_root, exponent_variational
-from .model import (
-    AllocationPlan,
-    InfeasibleRateError,
-    Scenario,
-    SolveMethod,
-    lmgf_exponential,
-    optimal_sampling_delay,
-    rate_function_exponential,
-)
+from .model import AllocationPlan, Scenario, SolveMethod
 from .sim import PaoiSummary, SimConfig, TailEstimate, simulate_plan, simulate_sensor
 from .solver_approx import solve_approx
-from .solver_exact import ConvergenceError, allocation_at_lambda, residual, solve_exact
+from .solver_exact import ConvergenceError, solve_exact
 
 __version__ = "0.1.0"
 
@@ -31,21 +23,15 @@ __all__ = [
     "ConvergenceError",
     "ExponentResult",
     "FeasibilityReport",
-    "InfeasibleRateError",
     "InfeasibleScenarioError",
     "PaoiSummary",
     "Scenario",
     "SimConfig",
     "SolveMethod",
     "TailEstimate",
-    "allocation_at_lambda",
     "check_feasibility",
     "exponent_root",
     "exponent_variational",
-    "lmgf_exponential",
-    "optimal_sampling_delay",
-    "rate_function_exponential",
-    "residual",
     "simulate_plan",
     "simulate_sensor",
     "solve_approx",

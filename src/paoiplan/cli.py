@@ -1,7 +1,8 @@
 """Command-line front end: scenario I/O, planning, analysis, and sweeps.
 
 Exit codes: 0 success, 1 schema or argument error (for ``simulate`` also a
-plan that does not fit the scenario or leaves a queue unstable),
+plan that does not fit the scenario or leaves a queue unstable, for
+``solve`` and ``approx`` a plan that floats cannot represent),
 2 infeasibility, 3 numerical non-convergence.
 """
 from __future__ import annotations
@@ -11,19 +12,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
-from .experiments import (
-    FIG3_DEFAULT_N_VALUES,
-    fig2_sweep,
-    fig3_sweep,
-    write_fig2_csv,
-    write_fig3_csv,
-)
+from .experiments import FIG3_DEFAULT_N_VALUES, CostGapRow, TradeoffRow, fig2_sweep, fig3_sweep
 from .feasibility import InfeasibleScenarioError, check_feasibility
 from .ldp import exponent_root, exponent_variational
 from .model import AllocationPlan, Scenario, SolveMethod
-from .sim import SimConfig, TailEstimate, simulate_plan
+from .sim import SimConfig, simulate_plan
 from .solver_approx import solve_approx
 from .solver_exact import ConvergenceError, solve_exact
 
@@ -153,6 +148,18 @@ def _emit(data: dict | list, out_path=None) -> None:
         print(text)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write one header line, then each row with every cell as its ``repr``.
+
+    Every CSV the CLI writes goes through here; the fig2/fig3 column names
+    are the row dataclasses' field names.
+    """
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([repr(cell) for cell in row] for row in rows)
+
+
 def _cmd_feasible(args) -> int:
     report = check_feasibility(load_scenario(args.scenario))
     _emit(asdict(report))
@@ -190,23 +197,17 @@ def _cmd_simulate(args) -> int:
     estimates = simulate_plan(scenario, plan, config)
     _emit([asdict(e) for e in estimates])
     if args.ccdf:
-        _write_ccdf_csv(estimates, args.ccdf)
+        _write_csv(args.ccdf, ("sensor_index", "x", "ccdf", "ln_ccdf"), (
+            (index, x, p, math.log(p) if p > 0.0 else -math.inf)
+            for index, estimate in enumerate(estimates)
+            for x, p in estimate.ccdf_points
+        ))
     return EXIT_OK
-
-
-def _write_ccdf_csv(estimates: list[TailEstimate], path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sensor_index", "x", "ccdf", "ln_ccdf"])
-        for index, estimate in enumerate(estimates):
-            for x, p in estimate.ccdf_points:
-                ln_p = math.log(p) if p > 0.0 else float("-inf")
-                writer.writerow([index, repr(x), repr(p), repr(ln_p)])
 
 
 def _cmd_fig2(args) -> int:
     rows = fig2_sweep()
-    write_fig2_csv(rows, args.out)
+    _write_csv(args.out, [f.name for f in fields(TradeoffRow)], map(astuple, rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -219,7 +220,7 @@ def _cmd_fig3(args) -> int:
     if not n_values:
         raise CliError("--n must name at least one system size")
     rows = fig3_sweep(n_values, args.cmax, args.reps, args.seed)
-    write_fig3_csv(rows, args.out)
+    _write_csv(args.out, [f.name for f in fields(CostGapRow)], map(astuple, rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

@@ -3,12 +3,11 @@
 Two desk-scale studies ship with the package: a two-sensor trade-off sweep
 of the first sensor's sampling delay against its required exponent (``fig2``
 surface), and a cost-gap study comparing the exact and closed-form planners
-over randomized systems of growing size (``fig3`` surface).  Both emit
-plot-ready CSV.
+over randomized systems of growing size (``fig3`` surface).  Each returns
+rows whose field names are the columns of the CSV the CLI writes.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -135,23 +134,3 @@ def fig3_sweep(n_values, c_max: float, replications: int, seed: int) -> list[Cos
         )
     return rows
 
-
-def write_fig2_csv(rows: list[TradeoffRow], path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["c1", "theta1", "exact_b1", "approx_b1"])
-        for row in rows:
-            writer.writerow([repr(row.c1), repr(row.theta1), repr(row.exact_b1), repr(row.approx_b1)])
-
-
-def write_fig3_csv(rows: list[CostGapRow], path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["n", "c_max", "mean_exact_cost", "mean_approx_cost", "mean_gap", "stderr_gap"]
-        )
-        for row in rows:
-            writer.writerow([
-                row.n, repr(row.c_max), repr(row.mean_exact_cost),
-                repr(row.mean_approx_cost), repr(row.mean_gap), repr(row.stderr_gap),
-            ])

@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .model import _rate_and_delay, rate_function_exponential
+from .model import _rate_and_delay
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
@@ -47,9 +47,11 @@ class ExponentResult:
 def exponent_variational(nu: float, b: float) -> ExponentResult:
     """Outage exponent as inf over t > 0 of rate_function(t + b) / t.
 
-    Returns exponent 0 when ``nu * b <= 1``: sampling at least as fast as
-    the service mean leaves no exponential decay guarantee, the infimum
-    being approached as t grows without bound.
+    The rate function of an exponential service time is the Legendre
+    transform of its LMGF, ``nu*y - 1 - ln(nu*y)``.  Returns exponent 0
+    when ``nu * b <= 1``: sampling at least as fast as the service mean
+    leaves no exponential decay guarantee, the infimum being approached as
+    t grows without bound.
     """
     nu, b = _rate_and_delay(nu, b)
     if nu * b <= 1.0:
@@ -60,7 +62,10 @@ def exponent_variational(nu: float, b: float) -> ExponentResult:
 
     def objective(u: float) -> float:
         x = math.exp(u)  # x = nu*t
-        return rate_function_exponential(1.0, x + c) / x
+        y = x + c
+        if y == math.inf:
+            return math.inf
+        return (y - 1.0 - math.log(y)) / x
 
     # Golden-section search over u = ln(nu*t).  The minimizer solves
     # ln y = c(1 - 1/y) at y = x + c, which puts it in

@@ -1,11 +1,11 @@
-"""Domain types and exponential-service tail primitives.
+"""Domain types: the scenario, the plan, and the delay at a plan's tight point.
 
 Each sensor's packet transmission time is exponential with rate ``mu * r``:
-the service rate scales linearly with the resource share ``r``.  The log
-moment generating function (LMGF) of that service time, its Legendre
-transform (the large-deviations rate function), and the minimal sampling
-delay meeting a tail-exponent target are the primitives every planner and
-analysis routine here builds on.
+the service rate scales linearly with the resource share ``r``.  A
+``Scenario`` holds the sensors and their shared budget; an
+``AllocationPlan`` holds each sensor's share and sampling delay.  Both
+planners build their plan through ``_plan_from_headroom``, which puts each
+delay at the tight point of its tail constraint.
 """
 from __future__ import annotations
 
@@ -14,10 +14,6 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
-
-
-class InfeasibleRateError(ValueError):
-    """The effective service rate is too low for the requested outage exponent."""
 
 
 _BUDGET_ATOL = 1e-9  # validate_for: shares may exceed the budget by rounding
@@ -184,54 +180,30 @@ def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=N
 
     The delay is ``optimal_sampling_delay(mu*r, theta)`` written in the
     headroom, ``log1p(theta/(mu*h))/theta``, so ``mu*r - theta`` never cancels.
+    A headroom too small for floats (``mu*h`` underflows next to ``theta``)
+    gives an infinite delay, and the plan is refused naming the sensor.  The
+    check rides on the total cost, which is infinite whenever a delay is.
     """
     mu, theta = scenario.mu, scenario.theta
-    delays = np.log1p(theta / (mu * headroom)) / theta
-    return AllocationPlan(theta / mu + headroom, delays, method, scenario.delay_cost(delays), lam)
-
-
-def lmgf_exponential(nu: float, gamma: float) -> float:
-    """LMGF of an exponential service time with rate ``nu``.
-
-    Equals ``ln(nu / (nu - gamma))`` for ``gamma < nu`` and diverges at the
-    pole; the divergent branch returns ``+inf`` so 1-D searches can probe
-    freely.  Evaluated via ``log1p`` to stay accurate for small ``gamma``.
-    """
-    if not nu > 0.0:
-        raise ValueError(f"service rate must be positive, got {nu!r}")
-    if gamma >= nu:
-        return math.inf
-    return -math.log1p(-gamma / nu)
-
-
-def rate_function_exponential(nu: float, x: float) -> float:
-    """Large-deviations rate function sup_g {g*x - LMGF(g)} of the service time.
-
-    Closed form ``nu*x - 1 - ln(nu*x)`` on ``x > 0``; ``+inf`` off the
-    support (service times are positive) and where ``nu*x`` overflows.
-    """
-    if not nu > 0.0:
-        raise ValueError(f"service rate must be positive, got {nu!r}")
-    y = nu * x
-    if y <= 0.0:
-        # Off the support, or nu*x underflowed: then ln(nu*x) = ln(nu) + ln(x).
-        return math.inf if x <= 0.0 else -1.0 - math.log(nu) - math.log(x)
-    if y == math.inf:
-        return math.inf
-    return y - 1.0 - math.log(y)
+    with np.errstate(divide="ignore", over="ignore"):
+        delays = np.log1p(theta / (mu * headroom)) / theta
+    total_cost = scenario.delay_cost(delays)
+    if total_cost == math.inf and np.inf in delays:
+        i = int(np.argmax(delays))  # the first infinite delay
+        raise ValueError(f"sensor {i}: its headroom above theta/mu cannot be represented in floats")
+    return AllocationPlan(theta / mu + headroom, delays, method, total_cost, lam)
 
 
 def optimal_sampling_delay(nu: float, theta: float) -> float:
     """Smallest sampling period meeting tail exponent ``theta`` at service rate ``nu``.
 
-    This is the tight point ``LMGF(theta) / theta`` of the tail constraint:
-    ``(1/theta) * ln(nu / (nu - theta))``.  Requires ``nu > theta``; below
+    This is the tight point ``LMGF(theta) / theta`` of the tail constraint,
+    where the service time's log moment generating function is
+    ``LMGF(theta) = ln(nu / (nu - theta))``.  Requires ``nu > theta``; below
     that rate no sampling period can deliver the exponent.
     """
     if not theta > 0.0:
         raise ValueError(f"outage exponent must be positive, got {theta!r}")
     if not nu > theta:
-        raise InfeasibleRateError(
-            f"service rate {nu!r} must strictly exceed the outage exponent {theta!r}"
-        )
-    return lmgf_exponential(nu, theta) / theta
+        raise ValueError(f"service rate {nu!r} must strictly exceed the outage exponent {theta!r}")
+    return -math.log1p(-theta / nu) / theta

@@ -1,10 +1,14 @@
-"""Closed-form large-system approximation of the joint plan.
+"""Closed-form approximation of the joint plan, accurate near full load.
 
 Linearizing the exact share's square root (valid when the multiplier is
-large, i.e. many sensors) gives each sensor its minimum required share
-``theta/mu`` plus a slice of the remaining budget proportional to
-``cost/theta``.  The matching sampling delays then have an explicit
-expression, so no root-finding is needed.
+large, i.e. when little budget is left above the minimum shares) gives each
+sensor its minimum required share ``theta/mu`` plus a slice of the
+remaining budget proportional to ``cost/theta``.  The matching sampling
+delays then have an explicit expression, so no root-finding is needed.
+The load ``sum(theta/mu)/budget`` sets the cost gap to the exact plan, not
+the number of sensors: on random scenarios it is about 0.17 relative at
+load 0.5, 2.4e-2 at 0.9, 8e-4 at 0.99 and 5e-12 at 1 - 1e-6, at 1e3 and
+1e5 sensors alike.
 """
 from __future__ import annotations
 

@@ -20,6 +20,14 @@ def random_feasible_scenario(rng: np.random.Generator) -> Scenario:
     return Scenario.from_arrays(mu=mu, cost=cost, theta=theta)
 
 
+def scenario_at_load(n: int, load: float, rng: np.random.Generator) -> Scenario:
+    """mu in [0.5, 4], cost in [1, 10], theta scaled to the given load."""
+    mu = rng.uniform(0.5, 4.0, n)
+    cost = rng.uniform(1.0, 10.0, n)
+    raw = rng.uniform(0.1, 1.0, n)
+    return Scenario.from_arrays(mu, cost, raw * (load / float(np.sum(raw / mu))))
+
+
 def grid_min_cost_two_sensor(scenario: Scenario, step: float = 1e-5) -> float:
     """Brute-force minimum of the two-sensor objective over an r1 grid.
 

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import astuple
 
 import pytest
 
 import paoiplan.cli as cli
+from paoiplan.experiments import fig2_sweep, fig3_sweep
 from paoiplan.solver_exact import ConvergenceError
 
 
@@ -52,6 +54,15 @@ class TestSolveCommand:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert strict_loads(out.read_text())["method"] == "exact"
+
+    @pytest.mark.parametrize("command", ["solve", "approx"])
+    def test_unrepresentable_headroom_exits_1_naming_the_sensor(self, scenario_file, capsys, command):
+        # The cheap sensor's headroom above theta/mu is about 1e-400: below the floats.
+        scenario = scenario_file({"sensors": [
+            {"mu": 1, "cost": 1e200, "theta": 0.25}, {"mu": 1, "cost": 1e-200, "theta": 0.25},
+        ]})
+        assert cli.main([command, scenario]) == 1
+        _one_error_line(capsys.readouterr(), "sensor 1: its headroom above theta/mu cannot be represented")
 
     def test_convergence_error_exits_3(self, scenario_file, monkeypatch, capsys):
         def boom(scenario):
@@ -224,8 +235,12 @@ class TestSimulateRoundTrip:
         estimates = strict_loads(capsys.readouterr().out)
         assert len(estimates) == 2
         assert estimates[0]["paoi_samples_summary"]["count"] == 2000
-        header = ccdf_path.read_text().splitlines()[0]
+        header, *rows = ccdf_path.read_text().splitlines()
         assert header == "sensor_index,x,ccdf,ln_ccdf"
+        assert {row.split(",")[0] for row in rows} == {"0", "1"}
+        for row in rows:
+            _, x, ccdf, ln_ccdf = map(float, row.split(","))
+            assert ln_ccdf == math.log(ccdf)  # repr round-trips exactly
 
     def test_plan_scenario_mismatch_exits_1(self, scenario_file, tmp_path, capsys):
         single = {"sensors": [{"mu": 1, "cost": 1, "theta": 0.25}]}
@@ -282,6 +297,9 @@ class TestSweepCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,c_max,mean_exact_cost,mean_approx_cost,mean_gap,stderr_gap"
         assert len(lines) == 2
+        assert lines[1].startswith("4,10.0,")
+        (row,) = fig3_sweep([4], 10.0, 3, seed=1)
+        assert [float(cell) for cell in lines[1].split(",")] == list(astuple(row))
 
     def test_fig3_rejects_bad_n_list(self, tmp_path, capsys):
         assert cli.main(["fig3", "--n", "4,x", "--out", str(tmp_path / "f.csv")]) == 1
@@ -310,3 +328,5 @@ class TestSweepCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "c1,theta1,exact_b1,approx_b1"
         assert len(lines) == 1 + 3 * 16  # three cost levels, sixteen feasible grid points
+        written = [tuple(float(cell) for cell in line.split(",")) for line in lines[1:]]
+        assert written == [astuple(row) for row in fig2_sweep()]  # repr round-trips exactly

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from paoiplan import (
-    exponent_root,
-    exponent_variational,
-    lmgf_exponential,
-    optimal_sampling_delay,
-)
+from paoiplan import exponent_root, exponent_variational
+from paoiplan.model import optimal_sampling_delay
 
 # Frozen from an independent dev-time bisection of ln(nu/(nu-theta)) = theta*b,
 # cross-checked against a two-million-point grid minimization of the
@@ -20,14 +16,14 @@ THETA_STAR_1_3 = 0.9404797907073597
 
 def reference_exponent_root(nu: float, b: float) -> float:
     # Bisection of x = theta/nu on LMGF(x) < c*x inside (0, 1 - e^-c] at
-    # unit rate, until the midpoint stops moving.
+    # unit rate, LMGF(x) = -log1p(-x), until the midpoint stops moving.
     c = nu * b
     if c <= 1.0:
         return 0.0
     lo, hi = 0.0, -math.expm1(-c)
     mid = 0.5 * hi
     while lo < mid < hi:
-        if lmgf_exponential(1.0, mid) < c * mid:
+        if -math.log1p(-mid) < c * mid:
             lo = mid
         else:
             hi = mid
@@ -52,11 +48,13 @@ class TestExponentRoot:
         assert exponent_root(1.0, 3.0) == pytest.approx(THETA_STAR_1_3, abs=1e-9)
 
     def test_bracket_sanity_around_reference_root(self):
-        # Just below the root the tail condition still holds, just above it fails.
-        assert lmgf_exponential(1.0, 0.79) == pytest.approx(1.5606, abs=1e-4)
-        assert lmgf_exponential(1.0, 0.79) < 0.79 * 2.0
-        assert lmgf_exponential(1.0, 0.80) == pytest.approx(math.log(5), abs=1e-12)
-        assert lmgf_exponential(1.0, 0.80) > 0.80 * 2.0
+        # Just below the root the tail condition LMGF(theta) <= theta*b still
+        # holds, just above it fails; LMGF(theta) = ln(1/(1 - theta)) at unit rate.
+        assert math.log(1 / (1 - 0.79)) == pytest.approx(1.5606, abs=1e-4)
+        assert math.log(1 / (1 - 0.79)) < 0.79 * 2.0
+        assert math.log(1 / (1 - 0.80)) == pytest.approx(math.log(5), abs=1e-12)
+        assert math.log(1 / (1 - 0.80)) > 0.80 * 2.0
+        assert 0.79 < exponent_root(1.0, 2.0) < 0.80
 
     def test_scaling_property(self):
         assert exponent_root(2.0, 1.0) == pytest.approx(2 * THETA_STAR_1_2, abs=1e-9)
@@ -93,6 +91,20 @@ class TestExponentVariational:
             result = exponent_variational(nu, b)
             assert abs(result.psi - exponent_root(nu, b)) <= 1e-6
             assert result.psi == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
+    def test_matches_brute_force_legendre_transform(self, nu):
+        # Independent oracle for the objective: at the returned minimizer t,
+        # psi is the service time's rate function at t + b over t, and the
+        # rate function is the Legendre transform sup_g {g*y - LMGF(g)},
+        # taken here on a dense grid of g.
+        gammas = np.arange(-10.0 * nu, nu * (1 - 1e-9), 1e-4 * nu)
+        lmgf_values = -np.log1p(-gammas / nu)
+        for c in np.linspace(1.2, 5.0, 20):
+            b = c / nu
+            result = exponent_variational(nu, b)
+            sup = float(np.max(gammas * (result.argmin_t + b) - lmgf_values))
+            assert result.psi == pytest.approx(sup / result.argmin_t, abs=1e-5)
 
     def test_minimizer_diagnostic(self):
         result = exponent_variational(1.0, 2.0)
@@ -206,7 +218,7 @@ def _lemma1_sides(nu: float, b: float, theta: float) -> tuple[bool, bool]:
     ``(LMGF(theta)/theta <= b, variational exponent reaches theta up to
     1e-6)``; the equivalence says the two booleans agree on every input.
     """
-    condition_holds = lmgf_exponential(nu, theta) / theta <= b
+    condition_holds = -math.log1p(-theta / nu) / theta <= b
     exponent_satisfied = exponent_variational(nu, b).psi >= theta - 1e-6
     return condition_holds, exponent_satisfied
 

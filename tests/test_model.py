@@ -2,18 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from paoiplan import (
-    AllocationPlan,
-    InfeasibleRateError,
-    Scenario,
-    SolveMethod,
-    lmgf_exponential,
-    optimal_sampling_delay,
-    rate_function_exponential,
-    solve_exact,
-)
+from paoiplan import AllocationPlan, Scenario, SolveMethod, solve_exact
+from paoiplan.model import optimal_sampling_delay
 
 
 def _scenario(first, second):
@@ -194,80 +185,14 @@ class TestAllocationPlan:
             with_total_cost(plan.total_cost * (1 + 1e-6)).validate_for(scenario)
 
 
-class TestLmgf:
-    def test_zero_at_origin(self):
-        assert lmgf_exponential(1.0, 0.0) == 0.0
-
-    def test_direct_value(self):
-        assert lmgf_exponential(1.0, 0.5) == pytest.approx(math.log(2), abs=1e-12)
-
-    @pytest.mark.parametrize("gamma", [1.0, 1.5, 100.0])
-    def test_divergent_branch_is_inf(self, gamma):
-        assert lmgf_exponential(1.0, gamma) == math.inf
-
-    def test_negative_gamma_is_negative(self):
-        assert lmgf_exponential(1.0, -1.0) == pytest.approx(-math.log(2), abs=1e-12)
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError, match="service rate"):
-            lmgf_exponential(0.0, 0.5)
-
-    @given(
-        nu=st.floats(0.1, 10.0),
-        g1=st.floats(-50.0, 0.99),
-        g2=st.floats(-50.0, 0.99),
-        weight=st.floats(0.01, 0.99),
-    )
-    def test_convex_in_gamma(self, nu, g1, g2, weight):
-        gamma1, gamma2 = sorted((nu * g1, nu * g2))
-        combo = weight * gamma1 + (1 - weight) * gamma2
-        lhs = lmgf_exponential(nu, combo)
-        rhs = weight * lmgf_exponential(nu, gamma1) + (1 - weight) * lmgf_exponential(nu, gamma2)
-        assert lhs <= rhs + 1e-12
-
-
-class TestRateFunction:
-    def test_vanishes_at_mean(self):
-        assert rate_function_exponential(1.0, 1.0) == 0.0
-
-    def test_direct_value(self):
-        assert rate_function_exponential(1.0, 2.0) == pytest.approx(1.0 - math.log(2), abs=1e-12)
-
-    @pytest.mark.parametrize("x", [-1.0, 0.0])
-    def test_off_support_is_inf(self, x):
-        assert rate_function_exponential(1.0, x) == math.inf
-
-    @pytest.mark.parametrize("nu,x", [(1.0, math.inf), (1e200, 1e200)])
-    def test_overflowing_product_is_inf(self, nu, x):
-        assert rate_function_exponential(nu, x) == math.inf
-
-    def test_underflowing_product_stays_finite(self):
-        # nu*x = 1e-400 rounds to 0, but the rate is 1e-400 - 1 + 400 ln 10.
-        value = rate_function_exponential(1e-200, 1e-200)
-        assert value == pytest.approx(400.0 * math.log(10.0) - 1.0, rel=1e-15)
-
-    def test_nan_stays_nan(self):
-        assert math.isnan(rate_function_exponential(1.0, math.nan))
-
-    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
-    def test_matches_brute_force_legendre_transform(self, nu):
-        # Independent oracle: supremum of gamma*x - LMGF(gamma) on a dense grid.
-        gammas = np.arange(-10.0 * nu, nu * (1 - 1e-9), 1e-4 * nu)
-        lmgf_values = -np.log1p(-gammas / nu)
-        for k in range(1, 51):
-            x = 0.1 * k / nu
-            sup = float(np.max(gammas * x - lmgf_values))
-            assert rate_function_exponential(nu, x) == pytest.approx(sup, abs=1e-5)
-
-
 class TestOptimalSamplingDelay:
     def test_hand_values(self):
         assert optimal_sampling_delay(0.5, 0.25) == pytest.approx(4 * math.log(2), abs=1e-12)
         assert optimal_sampling_delay(1.0, 0.5) == pytest.approx(2 * math.log(2), abs=1e-12)
 
-    @pytest.mark.parametrize("nu", [0.25, 0.2])
+    @pytest.mark.parametrize("nu", [0.25, 0.2, 0.0])
     def test_infeasible_rate_raises(self, nu):
-        with pytest.raises(InfeasibleRateError):
+        with pytest.raises(ValueError, match="must strictly exceed the outage exponent"):
             optimal_sampling_delay(nu, 0.25)
 
     def test_strictly_decreasing_in_rate(self):
@@ -279,5 +204,6 @@ class TestOptimalSamplingDelay:
     def test_definitional_round_trip(self):
         for nu in (0.5, 1.0, 3.0):
             for theta in np.linspace(0.05, 0.95, 10) * nu:
+                # The tight point LMGF(theta)/theta, LMGF(theta) = ln(nu/(nu - theta)).
                 b = optimal_sampling_delay(nu, theta)
-                assert lmgf_exponential(nu, theta) / theta == pytest.approx(b, abs=1e-12)
+                assert math.log(nu / (nu - theta)) / theta == pytest.approx(b, abs=1e-12)

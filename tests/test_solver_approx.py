@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_feasible_scenario
+from helpers import random_feasible_scenario, scenario_at_load
 from paoiplan import (
     InfeasibleScenarioError,
     Scenario,
@@ -87,3 +87,21 @@ def test_gap_nonnegative_on_asymmetric_point():
 def test_gap_nonnegative_on_random_scenarios(seed):
     scenario = random_feasible_scenario(np.random.default_rng(seed))
     assert _approximation_gap(scenario) >= -1e-10
+
+
+@pytest.mark.parametrize("load,low,high", [
+    (0.5, 0.12, 0.22), (0.9, 1.5e-2, 3.5e-2), (0.99, 5e-4, 1.2e-3), (1 - 1e-6, 2e-12, 8e-12),
+])
+def test_gap_is_set_by_the_load_not_the_size(load, low, high):
+    # The README's accuracy figures: one band per load, at 1e3 and 1e4 sensors alike.
+    for n in (1_000, 10_000):
+        gap = _approximation_gap(scenario_at_load(n, load, np.random.default_rng(0)))
+        assert low <= gap <= high, (n, gap)
+
+
+@pytest.mark.parametrize("solve", [solve_approx, solve_exact])
+def test_unrepresentable_headroom_is_refused_naming_the_sensor(solve):
+    # The cheap sensor's headroom above theta/mu is about 1e-400, below the floats.
+    scenario = Scenario.from_arrays(mu=(1, 1), cost=(1e200, 1e-200), theta=(0.25, 0.25))
+    with pytest.raises(ValueError, match="sensor 1: its headroom above theta/mu cannot be represented"):
+        solve(scenario)

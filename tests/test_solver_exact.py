@@ -4,16 +4,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from helpers import grid_min_cost_two_sensor, random_feasible_scenario
-from paoiplan import (
-    ConvergenceError,
-    InfeasibleScenarioError,
-    Scenario,
-    SolveMethod,
-    allocation_at_lambda,
-    residual,
-    solve_exact,
-)
+from helpers import grid_min_cost_two_sensor, random_feasible_scenario, scenario_at_load
+from paoiplan import ConvergenceError, InfeasibleScenarioError, Scenario, SolveMethod, solve_exact
+from paoiplan.solver_exact import allocation_at_lambda, residual
 
 SYMMETRIC = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.25))
 
@@ -24,14 +17,6 @@ TWO_SENSOR = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.3))
 TWO_SENSOR_LAMBDA = 8.899470899470892
 TWO_SENSOR_R1 = 0.4827586206896553
 TWO_SENSOR_COST = 5.809727857939022
-
-
-def _random_scenario(n: int, load: float, rng: np.random.Generator) -> Scenario:
-    """mu in [0.5, 4], cost in [1, 10], theta scaled to the given load."""
-    mu = rng.uniform(0.5, 4.0, n)
-    cost = rng.uniform(1.0, 10.0, n)
-    raw = rng.uniform(0.1, 1.0, n)
-    return Scenario.from_arrays(mu, cost, raw * (load / float(np.sum(raw / mu))))
 
 
 class TestAllocationAtLambda:
@@ -154,7 +139,7 @@ class TestSolveExact:
             solve_exact(scenario)
 
     def test_large_system_meets_kkt_tolerances(self):
-        scenario = _random_scenario(100_000, 0.99, np.random.default_rng(2024))
+        scenario = scenario_at_load(100_000, 0.99, np.random.default_rng(2024))
         plan = solve_exact(scenario)
         r = plan.r
         assert abs(math.fsum(r.tolist()) - scenario.budget) <= 1e-9
@@ -201,7 +186,7 @@ def _decimal_multiplier(scenario: Scenario) -> tuple[Decimal, list[Decimal]]:
 @pytest.mark.parametrize("load", [0.9, 0.999, 1 - 1e-6, 1 - 1e-9])
 @pytest.mark.parametrize("n", [2, 10, 200])
 def test_matches_decimal_oracle(n, load):
-    scenario = _random_scenario(n, load, np.random.default_rng(n))
+    scenario = scenario_at_load(n, load, np.random.default_rng(n))
     plan = solve_exact(scenario)
     lam, shares = _decimal_multiplier(scenario)
     np.testing.assert_allclose(plan.r, [float(x) for x in shares], rtol=1e-13, atol=0)
@@ -217,7 +202,7 @@ def test_large_system_delays_match_decimal_oracle_at_the_multiplier(load):
     # forming mu*r - theta from the rounded share cancels (at load 0.9999 that
     # route is 3.3e-13 off).  At 50 digits, from the plan's own multiplier:
     # h = (theta/(2mu))(sqrt(1 + q/lam) - 1), b = ln(1 + theta/(mu*h))/theta.
-    scenario = _random_scenario(100_000, load, np.random.default_rng(2024))
+    scenario = scenario_at_load(100_000, load, np.random.default_rng(2024))
     plan = solve_exact(scenario)
     largest = np.argsort(plan.b)[-2000:]
     with localcontext() as ctx:
