@@ -1,10 +1,19 @@
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
 from paoiplan import Scenario, solve_approx, solve_exact
-from paoiplan.experiments import FIG2_THETA1_GRID, fig2_sweep, fig3_scenario, fig3_sweep
+from paoiplan.cli import _write_csv
+from paoiplan.experiments import (
+    FIG2_THETA1_GRID,
+    CostGapRow,
+    TradeoffRow,
+    fig2_sweep,
+    fig3_scenario,
+    fig3_sweep,
+)
 
 # Deterministic n=2, c_max=1 sweep point (costs pinned at 1): the exact cost
 # was cross-checked against the two-sensor r1-grid oracle during development.
@@ -115,3 +124,24 @@ class TestFig2Sweep:
             boundary.approx_b1 / boundary.exact_b1 - 1.0
         )
 
+
+class TestCsvWriters:
+    # The fig2/fig3 commands write their rows through the CLI's one CSV
+    # writer, headed by the row dataclasses' field names.
+    def test_fig2_csv_layout(self, tmp_path, fig2_rows):
+        rows = fig2_rows((1.0,), (0.2, 0.3))
+        path = tmp_path / "fig2.csv"
+        _write_csv(path, [f.name for f in fields(TradeoffRow)], map(astuple, rows))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "c1,theta1,exact_b1,approx_b1"
+        assert len(lines) == 3
+        c1, theta1, exact_b1, approx_b1 = lines[1].split(",")
+        assert float(exact_b1) == rows[0].exact_b1  # repr round-trips exactly
+
+    def test_fig3_csv_layout(self, tmp_path):
+        rows = fig3_sweep([4], 10.0, 5, seed=1)
+        path = tmp_path / "fig3.csv"
+        _write_csv(path, [f.name for f in fields(CostGapRow)], map(astuple, rows))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "n,c_max,mean_exact_cost,mean_approx_cost,mean_gap,stderr_gap"
+        assert lines[1].startswith("4,10.0,")
