@@ -1,5 +1,11 @@
 """Command-line front end: scenario I/O, planning, analysis, and sweeps.
 
+Every command's JSON result goes out through ``_emit`` as 2-space indented
+JSON.  A plan (``solve``, ``approx``) is written by ``_plan_json`` from the
+float reprs of its columns, in the layout ``json.dumps(..., indent=2)`` gives
+its keys ``r``, ``b``, ``method``, ``total_cost`` and, for exact plans only,
+``lambda``; every other result goes through ``json.dumps``.
+
 Exit codes: 0 success, 1 schema or argument error (for ``simulate`` also a
 plan that does not fit the scenario or leaves a queue unstable, for
 ``solve`` and ``approx`` a plan that floats cannot represent),
@@ -106,18 +112,6 @@ def load_scenario(path) -> Scenario:
     return _build(f"scenario file {path}", Scenario.from_arrays, mu, cost, theta, budget)
 
 
-def plan_to_dict(plan: AllocationPlan) -> dict:
-    data = {
-        "r": plan.r.tolist(),
-        "b": plan.b.tolist(),
-        "method": plan.method.value,
-        "total_cost": plan.total_cost,
-    }
-    if plan.lam is not None:
-        data["lambda"] = plan.lam
-    return data
-
-
 def load_plan(path) -> AllocationPlan:
     """Read a plan file; CliError names a bad key, ``r[i]`` or ``AllocationPlan.r[i]``."""
     data = _read_object(path, "plan", _PLAN_KEYS, _PLAN_KEYS - {"lambda"})
@@ -139,11 +133,31 @@ def load_plan(path) -> AllocationPlan:
     )
 
 
-def _emit(data: dict | list, out_path=None) -> None:
-    text = json.dumps(data, indent=2)
+def _plan_json(plan: AllocationPlan) -> str:
+    """The plan's JSON text, as ``json.dumps(..., indent=2)`` writes its fields.
+
+    JSON writes a finite float as its ``repr``, and a plan holds finite
+    floats only (no NaN, infinity or empty column reaches it), so joining
+    the reprs of the columns gives the same bytes at a fraction of the time
+    of the encoder, which ``indent`` keeps in pure Python.
+    """
+    text = [
+        '{\n  "r": [\n    ', ",\n    ".join(map(repr, plan.r.tolist())),
+        '\n  ],\n  "b": [\n    ', ",\n    ".join(map(repr, plan.b.tolist())),
+        f'\n  ],\n  "method": "{plan.method.value}",\n  "total_cost": {plan.total_cost!r}',
+    ]
+    if plan.lam is not None:
+        text.append(f',\n  "lambda": {plan.lam!r}')
+    text.append("\n}")
+    return "".join(text)
+
+
+def _emit(result, out_path=None) -> None:
+    """Write one command's result as JSON to ``out_path``, or to stdout when it is None."""
+    text = _plan_json(result) if isinstance(result, AllocationPlan) else json.dumps(result, indent=2)
     if out_path:
         with open(out_path, "w") as handle:
-            handle.write(text + "\n")
+            print(text, file=handle)
     else:
         print(text)
 
@@ -169,13 +183,13 @@ def _cmd_feasible(args) -> int:
 def _cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
     plan = solve_exact(scenario)
-    _emit(plan_to_dict(plan), args.out)
+    _emit(plan, args.out)
     return EXIT_OK
 
 
 def _cmd_approx(args) -> int:
     plan = solve_approx(load_scenario(args.scenario))
-    _emit(plan_to_dict(plan), args.out)
+    _emit(plan, args.out)
     return EXIT_OK
 
 

@@ -58,13 +58,14 @@ def exponent_variational(nu: float, b: float) -> ExponentResult:
         return ExponentResult(psi=0.0, argmin_t=math.inf)
     # Past c = ln(largest float) the minimizer x* (near e^c) overflows, while
     # psi/nu = 1 - 1/(x* + c) has long rounded to 1: searching there gives the same psi.
+    # The cap also keeps y finite: math.exp raises OverflowError rather than
+    # return inf, and x + c with x at most the largest float and c at most
+    # its log rounds to at most the largest float.
     c = min(nu * b, _LOG_MAX_FLOAT)
 
     def objective(u: float) -> float:
         x = math.exp(u)  # x = nu*t
         y = x + c
-        if y == math.inf:
-            return math.inf
         return (y - 1.0 - math.log(y)) / x
 
     # Golden-section search over u = ln(nu*t).  The minimizer solves

@@ -86,28 +86,32 @@ def _peak_ages(times: np.ndarray, b: float) -> np.ndarray:
     return ages
 
 
-def _quantiles(ages: np.ndarray, lo_quantile: float, hi_quantile: float) -> tuple[float, float]:
-    # np.quantile(ages, (lo, hi)) bit for bit, for lo <= hi.  Its default
-    # linear method reads order statistics k and k + 1 at the virtual index
-    # (n - 1)*q and interpolates between them as numpy's _lerp does; from
-    # index n - 1 on it returns the maximum.  Partitioning at one kth at a
-    # time stays on numpy's fast path, which np.quantile's partition at
+def _quantiles(
+    ages: np.ndarray, lo_quantile: float, hi_quantile: float
+) -> tuple[float, float, np.ndarray]:
+    # np.quantile(ages, (lo, hi)) bit for bit, for lo <= hi, plus the part of
+    # a copy of ages that holds the order statistics from k_lo on.  Its
+    # default linear method reads order statistics k and k + 1 at the virtual
+    # index (n - 1)*q and interpolates between them as numpy's _lerp does;
+    # from index n - 1 on it returns the maximum.  Partitioning at one kth at
+    # a time stays on numpy's fast path, which np.quantile's partition at
     # four kth values leaves.  Each partition runs on the part above the
     # previous one, and statistic k + 1 is the minimum above k.
     n = ages.size
     upper, offset = ages.copy(), 0
-    values = []
+    values, parts = [], []
     for q in (lo_quantile, hi_quantile):
         index = (n - 1) * q
-        if index >= n - 1:
+        if index < n - 1:
+            k = math.floor(index)
+            upper.partition(k - offset)
+            upper, offset = upper[k - offset:], k
+            a, b, t = float(upper[0]), float(upper[1:].min()), index - k
+            values.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+        else:
             values.append(float(upper.max()))
-            continue
-        k = math.floor(index)
-        upper.partition(k - offset)
-        upper, offset = upper[k - offset:], k
-        a, b, t = float(upper[0]), float(upper[1:].min()), index - k
-        values.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
-    return values[0], values[1]
+        parts.append(upper)
+    return values[0], values[1], parts[0]
 
 
 def _fit_tail(
@@ -115,9 +119,15 @@ def _fit_tail(
 ) -> tuple[tuple[tuple[float, float], ...], float | None, float | None, str | None]:
     # Only samples at or above x_lo reach the grid, so sorting that tail
     # (about 1 - lo_quantile of them) gives the same counts as a full sort.
+    # The interpolation puts x_lo at or above statistic k_lo, so the tail
+    # lies in the part _quantiles kept from k_lo on, unless x_lo is that
+    # statistic itself (t = 0, or ties): then copies of it below k_lo count too.
     n = ages.size
-    x_lo, x_hi = _quantiles(ages, lo_quantile, hi_quantile)
-    tail = np.sort(ages[ages >= x_lo])
+    x_lo, x_hi, upper = _quantiles(ages, lo_quantile, hi_quantile)
+    tail = upper[upper >= x_lo]
+    if tail.size == upper.size:
+        tail = ages[ages >= x_lo]
+    tail.sort()
     if x_hi > x_lo:
         grid = np.linspace(x_lo, x_hi, _FIT_GRID_POINTS)
     else:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from paoiplan import Scenario
+from paoiplan import AllocationPlan, Scenario
 
 # One line per acceptance criterion, printed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -45,3 +45,17 @@ def grid_min_cost_two_sensor(scenario: Scenario, step: float = 1e-5) -> float:
         + c2 / theta2 * np.log(mu2 * r2 / (mu2 * r2 - theta2))
     )
     return float(total.min())
+
+
+def plan_to_dict(plan: AllocationPlan) -> dict:
+    """A plan's file fields as a dict: ``json.dumps`` of it with ``indent=2`` is
+    the reference for the bytes the CLI writes for the plan."""
+    data = {
+        "r": plan.r.tolist(),
+        "b": plan.b.tolist(),
+        "method": plan.method.value,
+        "total_cost": plan.total_cost,
+    }
+    if plan.lam is not None:
+        data["lambda"] = plan.lam
+    return data

@@ -5,6 +5,8 @@ from dataclasses import astuple
 import pytest
 
 import paoiplan.cli as cli
+from helpers import plan_to_dict
+from paoiplan import AllocationPlan, SolveMethod, solve_approx, solve_exact
 from paoiplan.experiments import fig2_sweep, fig3_sweep
 from paoiplan.solver_exact import ConvergenceError
 
@@ -287,6 +289,55 @@ class TestSimulateRoundTrip:
         plan = strict_loads(capsys.readouterr().out)
         assert "lambda" not in plan
         assert plan["method"] == "approx"
+
+
+# Floats whose shortest repr takes each of its forms: subnormal, smallest
+# normal, exponent notation on both sides, a trailing ".0", the largest float.
+AWKWARD = (5e-324, 2.2250738585072014e-308, 1e-7, 0.1, 1e16, 123456789.0, 1.7976931348623157e308)
+
+
+def _awkward_plans():
+    # Every rotation of AWKWARD puts each float in r, b, total_cost and lambda.
+    for n in (1, 3):
+        for shift in range(len(AWKWARD)):
+            values = AWKWARD[shift:] + AWKWARD[:shift]
+            r, b, total_cost, lam = values[:n], values[n:2 * n], values[2 * n], values[(2 * n + 1) % 7]
+            yield AllocationPlan(r, b, SolveMethod.APPROX, total_cost)
+            yield AllocationPlan(r, b, SolveMethod.EXACT, total_cost, lam)
+
+
+THREE = {"budget": 2.5, "sensors": [
+    {"mu": 1, "cost": 3, "theta": 0.25},
+    {"mu": 2.5, "cost": 0.7, "theta": 0.4},
+    {"mu": 0.3, "cost": 1, "theta": 0.1},
+]}
+
+
+class TestPlanWriter:
+    @pytest.mark.parametrize("plan", list(_awkward_plans()))
+    def test_written_plan_is_json_dumps_indent_2(self, plan, tmp_path, capsys):
+        expected = json.dumps(plan_to_dict(plan), indent=2) + "\n"
+        out = tmp_path / "plan.json"
+        cli._emit(plan, str(out))
+        assert out.read_text() == expected
+        cli._emit(plan)
+        assert capsys.readouterr().out == expected
+        assert cli.load_plan(out) == plan
+
+    @pytest.mark.parametrize("command,planner", [("solve", solve_exact), ("approx", solve_approx)])
+    @pytest.mark.parametrize("payload", [TWO_SYM, THREE])
+    def test_stdout_equals_out_file_and_reads_back(
+        self, scenario_file, tmp_path, capsys, command, planner, payload
+    ):
+        scenario = scenario_file(payload)
+        assert cli.main([command, scenario]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "plan.json"
+        assert cli.main([command, scenario, "--out", str(out)]) == 0
+        assert out.read_text() == stdout
+        plan = planner(cli.load_scenario(scenario))
+        assert stdout == json.dumps(plan_to_dict(plan), indent=2) + "\n"
+        assert cli.load_plan(out) == plan
 
 
 class TestSweepCommands:

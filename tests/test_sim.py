@@ -178,7 +178,21 @@ class TestFitTailIdentity:
     def test_quantiles_match_numpy_bit_for_bit(self, size, lo, hi):
         # Both interpolation branches, and from index n - 1 on the maximum.
         ages = 1.0 + np.random.default_rng(size).exponential(1.0, size)
-        assert _quantiles(ages, lo, hi) == tuple(np.quantile(ages, (lo, hi)).tolist())
+        x_lo, x_hi, upper = _quantiles(ages, lo, hi)
+        assert (x_lo, x_hi) == tuple(np.quantile(ages, (lo, hi)).tolist())
+        # The part kept for the tail: the order statistics from k_lo on.
+        k_lo = math.floor((size - 1) * lo) if (size - 1) * lo < size - 1 else 0
+        assert np.array_equal(np.sort(upper), np.sort(ages)[k_lo:])
+
+    @pytest.mark.parametrize("lo", [0.5, 5 / 12])
+    def test_tail_counts_ties_on_both_sides_of_the_lower_statistic(self, lo):
+        # Sorted: 1, 2, 2, 2, 2, 3, 4.  At lo = 0.5 the virtual index is 3
+        # (t = 0); at 5/12 it is 2.5 between two equal statistics.  Either
+        # way x_lo = 2, and the 2s below statistic k_lo belong to the tail.
+        ages = np.array([3.0, 2.0, 1.0, 2.0, 2.0, 4.0, 2.0])
+        fit = _fit_tail(ages, lo, 0.9)
+        assert fit[0][0] == (2.0, 6 / 7)
+        assert fit == reference_fit_tail(ages, lo, 0.9)
 
 
 class TestTailEstimate:
