@@ -181,17 +181,26 @@ def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=N
     The delay is ``optimal_sampling_delay(mu*r, theta)`` written in the
     headroom, ``log1p(theta/(mu*h))/theta``, so ``mu*r - theta`` never cancels.
     A headroom too small for floats (``mu*h`` underflows next to ``theta``)
-    gives an infinite delay, and the plan is refused naming the sensor.  The
-    check rides on the total cost, which is infinite whenever a delay is.
+    gives an infinite delay, and ``theta/(mu*h)`` below the floats gives a
+    delay of 0.  ``AllocationPlan`` refuses both, blaming its own ``b``; the
+    refusal is raised again naming the sensor and the cause, so a plan that
+    passes costs no extra check.
     """
     mu, theta = scenario.mu, scenario.theta
     with np.errstate(divide="ignore", over="ignore"):
         delays = np.log1p(theta / (mu * headroom)) / theta
-    total_cost = scenario.delay_cost(delays)
-    if total_cost == math.inf and np.inf in delays:
-        i = int(np.argmax(delays))  # the first infinite delay
-        raise ValueError(f"sensor {i}: its headroom above theta/mu cannot be represented in floats")
-    return AllocationPlan(theta / mu + headroom, delays, method, total_cost, lam)
+    try:
+        return AllocationPlan(theta / mu + headroom, delays, method, scenario.delay_cost(delays), lam)
+    except ValueError:
+        unrepresentable = np.flatnonzero((delays == 0.0) | (delays == math.inf))
+        if not unrepresentable.size:
+            raise
+        i = int(unrepresentable[0])
+        if delays[i]:
+            reason = "its headroom above theta/mu cannot be represented in floats"
+        else:
+            reason = "its sampling delay underflows to 0 in floats"
+        raise ValueError(f"sensor {i}: {reason}") from None
 
 
 def optimal_sampling_delay(nu: float, theta: float) -> float:

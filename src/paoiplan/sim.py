@@ -10,10 +10,19 @@ first 10 000 draws are a warm-up whose peaks are discarded.  The empirical
 complementary CDF of the kept peaks is fitted on a log scale between their
 0.90 and 0.999 quantiles, and the negated slope estimates the decay
 exponent that the planner promised.
+
+A plan's sensors run concurrently, one thread per CPU up to the number of
+sensors, each on its own random substream, so the results are identical to
+simulating them in sensor order.  A sensor holds one array of samples, in
+an anonymous memory map released when it finishes: the peak ages are
+written over the draws and the fit partitions them in place, so peak memory
+is about 8 bytes * (num_samples + 10 000) per sensor running at once.
 """
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +74,17 @@ class TailEstimate:
 
 
 def _peak_ages(times: np.ndarray, b: float) -> np.ndarray:
-    # Delivery recursion D_j = max(D_{j-1}, S_j) + T_j with S_j = (j-1)*b and
-    # an empty start.  The waiting time u_j = max(D_{j-1} - S_j, 0) obeys
-    # Lindley's u_j = max(u_{j-1} + T_{j-1} - b, 0) with u_1 = 0, which a
-    # block solves as u = S - min(0, cummin S) for S the prefix sums of the
-    # increments seeded with the backlog v = u + T carried in.  Restarting
-    # the sums every block keeps them O(block) so they lose no precision;
-    # the peak age is A_j = D_j - S_{j-1} = v_j + b.
-    ages = np.empty(times.size - 1)
+    # Consumes times: the peak ages are written over the service times, and
+    # the result is the view times[:-1].  Delivery recursion
+    # D_j = max(D_{j-1}, S_j) + T_j with S_j = (j-1)*b and an empty start.
+    # The waiting time u_j = max(D_{j-1} - S_j, 0) obeys Lindley's
+    # u_j = max(u_{j-1} + T_{j-1} - b, 0) with u_1 = 0, which a block solves
+    # as u = S - min(0, cummin S) for S the prefix sums of the increments
+    # seeded with the backlog v = u + T carried in.  Restarting the sums
+    # every block keeps them O(block) so they lose no precision; the peak age
+    # is A_j = D_j - S_{j-1} = v_j + b.  A block reads times[start - 1:stop]
+    # before it writes times[start - 1:stop - 1], and the carry is its own
+    # last backlog, so no service time is read after it is overwritten.
     carry = times[0]
     for start in range(1, times.size, _LINDLEY_BLOCK):
         stop = min(start + _LINDLEY_BLOCK, times.size)
@@ -82,23 +94,25 @@ def _peak_ages(times: np.ndarray, b: float) -> np.ndarray:
         waits -= np.minimum(np.minimum.accumulate(waits), 0.0)
         backlog = np.add(waits, times[start:stop], out=waits)
         carry = backlog[-1]
-        np.add(backlog, b, out=ages[start - 1:stop - 1])
-    return ages
+        np.add(backlog, b, out=times[start - 1:stop - 1])
+    return times[:-1]
 
 
 def _quantiles(
     ages: np.ndarray, lo_quantile: float, hi_quantile: float
 ) -> tuple[float, float, np.ndarray]:
     # np.quantile(ages, (lo, hi)) bit for bit, for lo <= hi, plus the part of
-    # a copy of ages that holds the order statistics from k_lo on.  Its
-    # default linear method reads order statistics k and k + 1 at the virtual
-    # index (n - 1)*q and interpolates between them as numpy's _lerp does;
-    # from index n - 1 on it returns the maximum.  Partitioning at one kth at
-    # a time stays on numpy's fast path, which np.quantile's partition at
-    # four kth values leaves.  Each partition runs on the part above the
-    # previous one, and statistic k + 1 is the minimum above k.
+    # ages that holds the order statistics from k_lo on.  Consumes ages'
+    # order: it partitions them in place, so take any summary whose rounding
+    # depends on the order (the mean) before.  numpy's default linear method
+    # reads order statistics k and k + 1 at the virtual index (n - 1)*q and
+    # interpolates between them as its _lerp does; from index n - 1 on it
+    # returns the maximum.  Partitioning at one kth at a time stays on
+    # numpy's fast path, which np.quantile's partition at four kth values
+    # leaves.  Each partition runs on the part above the previous one, and
+    # statistic k + 1 is the minimum above k.
     n = ages.size
-    upper, offset = ages.copy(), 0
+    upper, offset = ages, 0
     values, parts = [], []
     for q in (lo_quantile, hi_quantile):
         index = (n - 1) * q
@@ -117,11 +131,12 @@ def _quantiles(
 def _fit_tail(
     ages: np.ndarray, lo_quantile: float, hi_quantile: float
 ) -> tuple[tuple[tuple[float, float], ...], float | None, float | None, str | None]:
-    # Only samples at or above x_lo reach the grid, so sorting that tail
-    # (about 1 - lo_quantile of them) gives the same counts as a full sort.
-    # The interpolation puts x_lo at or above statistic k_lo, so the tail
-    # lies in the part _quantiles kept from k_lo on, unless x_lo is that
-    # statistic itself (t = 0, or ties): then copies of it below k_lo count too.
+    # Consumes ages' order, as _quantiles does.  Only samples at or above
+    # x_lo reach the grid, so sorting that tail (about 1 - lo_quantile of
+    # them) gives the same counts as a full sort.  The interpolation puts
+    # x_lo at or above statistic k_lo, so the tail lies in the part
+    # _quantiles kept from k_lo on, unless x_lo is that statistic itself
+    # (t = 0, or ties): then copies of it below k_lo count too.
     n = ages.size
     x_lo, x_hi, upper = _quantiles(ages, lo_quantile, hi_quantile)
     tail = upper[upper >= x_lo]
@@ -164,9 +179,16 @@ def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) 
     """
     nu, b = _rate_and_delay(nu, b)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream)))
+    # The samples live in an anonymous memory map, returned to the system as
+    # soon as the sensor is done.  A malloc block this size can stay in the
+    # arena of the worker thread that freed it, and how many arenas a run
+    # touches depends on thread scheduling, so peak memory would vary by
+    # whole arrays between identical runs.
+    count = _WARMUP + config.num_samples
+    times = np.frombuffer(mmap.mmap(-1, 8 * count), dtype=np.float64)
     # -log1p(-u)/nu, evaluated in place: sign flips are exact, so the
     # values are the same as the out-of-place expression.
-    times = rng.random(_WARMUP + config.num_samples)
+    rng.random(out=times)
     np.log1p(np.negative(times, out=times), out=times)
     times /= -nu
 
@@ -185,21 +207,32 @@ def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) 
 def simulate_plan(
     scenario: Scenario, plan: AllocationPlan, config: SimConfig
 ) -> list[TailEstimate]:
-    """Simulate every sensor of a plan on independent substreams.
+    """Simulate every sensor of a plan on independent substreams, concurrently.
 
     Sensors interact only through the static resource split, so each runs
-    as its own queue with service rate ``mu_i * r_i`` and period ``b_i``.
-    Results are ordered by sensor index and deterministic per seed.  Raises
-    ValueError as ``plan.validate_for`` does, or naming the first sensor
-    with ``mu_i * r_i * b_i <= 1``: its queue is unstable.
+    as its own queue with service rate ``mu_i * r_i`` and period ``b_i``, on
+    one of ``min(n, os.cpu_count())`` worker threads; numpy releases the
+    interpreter lock in the draw, the recursion's ufuncs and the fit's
+    partition and sort.  Results are ordered by sensor index, deterministic
+    per seed, and identical to simulating the sensors one after another.
+    Raises ValueError as ``plan.validate_for`` does, or naming the first
+    sensor with ``mu_i * r_i * b_i <= 1``: its queue is unstable.  An error
+    in a sensor's simulation is raised unchanged, from the lowest failing
+    sensor.
     """
+    # Deferred: concurrent.futures imports logging, which nothing else in a
+    # fresh `import paoiplan` needs.
+    from concurrent.futures import ThreadPoolExecutor
+
     plan.validate_for(scenario)
     nu, b = scenario.mu * plan.r, plan.b
-    unstable = np.flatnonzero(~(nu * b > 1.0))
+    with np.errstate(over="ignore"):  # an overflowing nu*b is refused by simulate_sensor
+        unstable = np.flatnonzero(~(nu * b > 1.0))
     if unstable.size:
         i = int(unstable[0])
         raise ValueError(f"sensor {i}: nu*b = {nu[i] * b[i]:.6g} <= 1, so its queue is unstable")
-    return [
-        simulate_sensor(nu_i, b_i, config, stream=i)
-        for i, (nu_i, b_i) in enumerate(zip(nu.tolist(), b.tolist()))
-    ]
+    with ThreadPoolExecutor(max_workers=min(scenario.n, os.cpu_count() or 1)) as pool:
+        return list(pool.map(
+            lambda i, nu_i, b_i: simulate_sensor(nu_i, b_i, config, stream=i),
+            range(scenario.n), nu.tolist(), b.tolist(),
+        ))

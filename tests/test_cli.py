@@ -66,6 +66,15 @@ class TestSolveCommand:
         assert cli.main([command, scenario]) == 1
         _one_error_line(capsys.readouterr(), "sensor 1: its headroom above theta/mu cannot be represented")
 
+    def test_delay_underflowing_to_zero_exits_1_naming_the_sensor(self, scenario_file, capsys):
+        # Sensor 0's theta/(mu*h) is about 1e-400, so its delay log1p(.)/theta
+        # comes out as 0; before the refusal the plan's own check blamed b[0].
+        scenario = scenario_file({"sensors": [
+            {"mu": 1e200, "cost": 1, "theta": 1e-200}, {"mu": 1, "cost": 1, "theta": 0.25},
+        ]})
+        assert cli.main(["approx", scenario]) == 1
+        _one_error_line(capsys.readouterr(), "sensor 0: its sampling delay underflows to 0 in floats")
+
     def test_convergence_error_exits_3(self, scenario_file, monkeypatch, capsys):
         def boom(scenario):
             raise ConvergenceError("stalled")

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paoiplan
+import paoiplan.sim as sim
 from paoiplan import (
     AllocationPlan,
     PaoiSummary,
@@ -110,16 +117,24 @@ class TestDeliveryRecursion:
             times = -np.log1p(-rng.random(_WARMUP + num_samples)) / nu
             kept = _peak_ages(times, b)[_WARMUP - 1:]
             assert estimate.paoi_samples_summary.count == kept.size == num_samples
+            # The summary before the fit, which reorders kept.
+            summary = PaoiSummary(count=num_samples, mean=float(kept.mean()), max=float(kept.max()))
             points, exponent, stderr, fit_error = _fit_tail(kept, _FIT_LO_QUANTILE, _FIT_HI_QUANTILE)
             assert estimate == TailEstimate(
-                paoi_samples_summary=PaoiSummary(
-                    count=num_samples, mean=float(kept.mean()), max=float(kept.max())
-                ),
+                paoi_samples_summary=summary,
                 ccdf_points=points,
                 fitted_exponent=exponent,
                 stderr=stderr,
                 fit_error=fit_error,
             )
+
+    def test_writes_the_ages_over_the_draws(self):
+        # One array of samples per sensor: the ages are the view times[:-1].
+        times = exponential_times(1.0, 3 * _LINDLEY_BLOCK + 7, seed=3)
+        expected = reference_peak_ages(times.tolist(), 2.0)
+        ages = _peak_ages(times, 2.0)
+        assert ages.size == times.size - 1 and np.shares_memory(ages, times)
+        np.testing.assert_allclose(ages, expected, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("nu,b", [
         (1.0, math.inf), (math.inf, 2.0), (math.nan, 2.0), (1.0, math.nan), (1e300, 1e300),
@@ -141,14 +156,14 @@ class TestBlockedRecursion:
     )
     def test_matches_scalar_loop_across_block_edges(self, count, nu_b):
         times = exponential_times(1.0, count + 1, seed=count)
-        ages = _peak_ages(times, nu_b)
+        ages = _peak_ages(times.copy(), nu_b)
         expected = np.array(reference_peak_ages(times.tolist(), nu_b))
         assert ages.shape == expected.shape == (count,)
         np.testing.assert_allclose(ages, expected, rtol=1e-10, atol=0.0)
 
     def test_matches_scalar_loop_over_a_million_samples(self):
         times = exponential_times(1.0, 1_000_001, seed=11)
-        ages = _peak_ages(times, 2.0)
+        ages = _peak_ages(times.copy(), 2.0)
         np.testing.assert_allclose(ages, reference_peak_ages(times.tolist(), 2.0), rtol=1e-10, atol=0.0)
 
 
@@ -168,7 +183,8 @@ class TestFitTailIdentity:
                 ages = np.full(size, 3.0)
             lo = float(rng.uniform(0.05, 0.95))
             hi = float(rng.uniform(lo, 1.0))
-            assert _fit_tail(ages, lo, hi) == reference_fit_tail(ages, lo, hi), (case, size, lo, hi)
+            expected = reference_fit_tail(ages, lo, hi)
+            assert _fit_tail(ages, lo, hi) == expected, (case, size, lo, hi)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 1000])
     @pytest.mark.parametrize("lo,hi", [
@@ -178,11 +194,17 @@ class TestFitTailIdentity:
     def test_quantiles_match_numpy_bit_for_bit(self, size, lo, hi):
         # Both interpolation branches, and from index n - 1 on the maximum.
         ages = 1.0 + np.random.default_rng(size).exponential(1.0, size)
+        expected, ordered = tuple(np.quantile(ages, (lo, hi)).tolist()), np.sort(ages)
         x_lo, x_hi, upper = _quantiles(ages, lo, hi)
-        assert (x_lo, x_hi) == tuple(np.quantile(ages, (lo, hi)).tolist())
+        assert (x_lo, x_hi) == expected
         # The part kept for the tail: the order statistics from k_lo on.
         k_lo = math.floor((size - 1) * lo) if (size - 1) * lo < size - 1 else 0
-        assert np.array_equal(np.sort(upper), np.sort(ages)[k_lo:])
+        assert np.array_equal(np.sort(upper), ordered[k_lo:])
+
+    def test_quantiles_partition_in_place(self):
+        # The kept part is a view of the caller's array, not of a copy.
+        ages = 1.0 + np.random.default_rng(8).exponential(1.0, 1000)
+        assert np.shares_memory(_quantiles(ages, 0.9, 0.999)[2], ages)
 
     @pytest.mark.parametrize("lo", [0.5, 5 / 12])
     def test_tail_counts_ties_on_both_sides_of_the_lower_statistic(self, lo):
@@ -190,9 +212,10 @@ class TestFitTailIdentity:
         # (t = 0); at 5/12 it is 2.5 between two equal statistics.  Either
         # way x_lo = 2, and the 2s below statistic k_lo belong to the tail.
         ages = np.array([3.0, 2.0, 1.0, 2.0, 2.0, 4.0, 2.0])
+        expected = reference_fit_tail(ages, lo, 0.9)
         fit = _fit_tail(ages, lo, 0.9)
         assert fit[0][0] == (2.0, 6 / 7)
-        assert fit == reference_fit_tail(ages, lo, 0.9)
+        assert fit == expected
 
 
 class TestTailEstimate:
@@ -214,7 +237,7 @@ class TestTailEstimate:
 
         rng = np.random.default_rng(4)
         times = -np.log1p(-rng.random(20_000)) / 1.3
-        ages = _peak_ages(times, 0.7)
+        ages = _peak_ages(times.copy(), 0.7)
         assert all(age > 0.7 for age in ages)
         assert all(age >= t + 0.7 for age, t in zip(ages, times[1:]))
 
@@ -311,3 +334,56 @@ class TestSimulatePlan:
         estimates = simulate_plan(scenario, plan, SimConfig(num_samples=1000, seed=2))
         assert all(e.fitted_exponent is None for e in estimates)
         assert all(e.fit_error for e in estimates)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_concurrent_estimates_equal_sensor_order(self, n):
+        # Five sensors are more than the worker threads of a small machine.
+        mu = (1.0, 2.0, 0.5, 4.0, 1.5)[:n]
+        scenario = Scenario.from_arrays(mu=mu, cost=(1.0, 3.0, 2.0, 1.0, 5.0)[:n], theta=[0.08] * n)
+        plan = solve_exact(scenario)
+        config = SimConfig(num_samples=20_000, seed=6)
+        nu = scenario.mu * plan.r
+        expected = [
+            simulate_sensor(nu_i, b_i, config, stream=i)
+            for i, (nu_i, b_i) in enumerate(zip(nu.tolist(), plan.b.tolist()))
+        ]
+        assert simulate_plan(scenario, plan, config) == expected
+
+    def test_sensors_overlap_on_one_worker_per_cpu(self, monkeypatch):
+        # Each simulation waits for the other at a barrier, which only
+        # concurrent workers pass; with 2 CPUs, 5 sensors use 2 threads.
+        barrier, threads = threading.Barrier(2, timeout=10), set()
+
+        def meet(nu, b, config, *, stream):
+            threads.add(threading.get_ident())
+            if stream < 4:
+                barrier.wait()
+            return stream
+
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sim, "simulate_sensor", meet)
+        scenario = Scenario.from_arrays(mu=[1.0] * 5, cost=[1.0] * 5, theta=[0.1] * 5)
+        assert simulate_plan(scenario, solve_exact(scenario), SimConfig()) == [0, 1, 2, 3, 4]
+        assert len(threads) == 2 and threading.get_ident() not in threads
+
+    def test_worker_error_reaches_the_caller_from_the_lowest_failing_sensor(self):
+        # Sensors 1 and 2 pass validate_for and nu*b > 1, but nu*b overflows.
+        scenario = Scenario.from_arrays(mu=(1, 1e300, 1e300), cost=(1, 1, 1), theta=(0.25, 0.25, 0.25))
+        b = (4.0, 1e10, 1e20)
+        plan = AllocationPlan(
+            r=(0.4, 0.3, 0.3), b=b, method=SolveMethod.EXACT, total_cost=scenario.delay_cost(b)
+        )
+        with pytest.raises(ValueError, match="nu\\*b must be finite") as direct:
+            simulate_sensor(1e300 * 0.3, 1e10, SimConfig(num_samples=1000), stream=1)
+        with pytest.raises(ValueError) as raised:
+            simulate_plan(scenario, plan, SimConfig(num_samples=1000))
+        assert str(raised.value) == str(direct.value)
+
+
+def test_import_does_not_load_concurrent_futures():
+    # concurrent.futures imports logging; simulate_plan imports it on first use.
+    env = dict(os.environ, PYTHONPATH=str(Path(paoiplan.__file__).resolve().parents[1]))
+    code = "import sys, paoiplan; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
