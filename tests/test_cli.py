@@ -253,6 +253,14 @@ class TestSimulateRoundTrip:
             _, x, ccdf, ln_ccdf = map(float, row.split(","))
             assert ln_ccdf == math.log(ccdf)  # repr round-trips exactly
 
+    @pytest.mark.parametrize("args,name", [(["--seed", "-1"], "seed"), (["--samples", "999"], "num_samples")])
+    def test_bad_sim_config_exits_1_naming_the_value(self, scenario_file, tmp_path, capsys, args, name):
+        scenario = scenario_file(TWO_SYM)
+        plan_path = tmp_path / "plan.json"
+        assert cli.main(["solve", scenario, "--out", str(plan_path)]) == 0
+        assert cli.main(["simulate", scenario, str(plan_path), *args]) == 1
+        _one_error_line(capsys.readouterr(), name)
+
     def test_plan_scenario_mismatch_exits_1(self, scenario_file, tmp_path, capsys):
         single = {"sensors": [{"mu": 1, "cost": 1, "theta": 0.25}]}
         scenario = scenario_file(TWO_SYM)

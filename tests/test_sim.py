@@ -1,8 +1,10 @@
 import math
+import mmap
 import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +90,25 @@ class TestSimConfig:
         assert (_FIT_LO_QUANTILE, _FIT_HI_QUANTILE) == (0.90, 0.999)
 
     def test_rejects_small_sample_count(self):
-        with pytest.raises(ValueError, match="num_samples"):
+        with pytest.raises(ValueError, match="num_samples must be at least 1000, got 999"):
             SimConfig(num_samples=999)
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_samples", 1000.5), ("num_samples", 2000.0), ("num_samples", "2000"), ("num_samples", None),
+        ("seed", 1.5), ("seed", "3"), ("seed", None),
+    ])
+    def test_rejects_non_integer_values(self, field, value):
+        # Refused here, not by a worker thread's TypeError mid-simulation.
+        with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
+            SimConfig(**{field: value})
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SimConfig(seed=-1)
+
+    def test_accepts_numpy_integers(self):
+        config = SimConfig(num_samples=np.int64(1000), seed=np.uint32(7))
+        assert simulate_sensor(1.0, 2.0, config) == simulate_sensor(1.0, 2.0, SimConfig(1000, 7))
 
 
 class TestDeliveryRecursion:
@@ -148,12 +167,18 @@ class TestDeliveryRecursion:
 
 class TestBlockedRecursion:
     # The blocked prefix-sum form adds the same increments in another order,
-    # so it may differ from the scalar loop by rounding: a few ulps of the
-    # O(block) prefix sums, far inside 1e-10 relative.
+    # so it may differ from the scalar loop by rounding in the O(block)
+    # prefix sums.  Over a million samples at 16384-sample blocks the
+    # largest relative difference measured 3.1e-12 at nu*b = 1.3, 2.2e-12
+    # at 2 and 1.6e-12 at 4 (1.2e-12, 6.3e-13 and 4.6e-13 at 4096), far
+    # inside 1e-10.
+    # The same offsets around a quarter block end the run inside its first
+    # block; around the block they put it at and across the block edges.
     @pytest.mark.parametrize("nu_b", [1.01, 2.0, 10.0])
-    @pytest.mark.parametrize(
-        "count", [_LINDLEY_BLOCK - 1, _LINDLEY_BLOCK, _LINDLEY_BLOCK + 1, 3 * _LINDLEY_BLOCK + 7]
-    )
+    @pytest.mark.parametrize("count", [
+        _LINDLEY_BLOCK // 4 - 1, _LINDLEY_BLOCK // 4, _LINDLEY_BLOCK // 4 + 1, 3 * _LINDLEY_BLOCK // 4 + 7,
+        _LINDLEY_BLOCK - 1, _LINDLEY_BLOCK, _LINDLEY_BLOCK + 1, 3 * _LINDLEY_BLOCK + 7,
+    ])
     def test_matches_scalar_loop_across_block_edges(self, count, nu_b):
         times = exponential_times(1.0, count + 1, seed=count)
         ages = _peak_ages(times.copy(), nu_b)
@@ -161,10 +186,11 @@ class TestBlockedRecursion:
         assert ages.shape == expected.shape == (count,)
         np.testing.assert_allclose(ages, expected, rtol=1e-10, atol=0.0)
 
-    def test_matches_scalar_loop_over_a_million_samples(self):
+    @pytest.mark.parametrize("nu_b", [1.3, 2.0, 4.0])
+    def test_matches_scalar_loop_over_a_million_samples(self, nu_b):
         times = exponential_times(1.0, 1_000_001, seed=11)
-        ages = _peak_ages(times.copy(), 2.0)
-        np.testing.assert_allclose(ages, reference_peak_ages(times.tolist(), 2.0), rtol=1e-10, atol=0.0)
+        ages = _peak_ages(times.copy(), nu_b)
+        np.testing.assert_allclose(ages, reference_peak_ages(times.tolist(), nu_b), rtol=1e-10, atol=0.0)
 
 
 class TestFitTailIdentity:
@@ -224,6 +250,25 @@ class TestTailEstimate:
         first = simulate_sensor(1.0, 2.0, config)
         second = simulate_sensor(1.0, 2.0, config)
         assert first == second
+
+    def test_private_map_and_its_fallback_give_the_same_estimate(self, monkeypatch):
+        # A private map where the mmap module has MAP_PRIVATE; where it has
+        # none and mmap.mmap takes no flags, as on Windows, the default map.
+        config = SimConfig(num_samples=5000, seed=9)
+        calls = []
+
+        def recording_mmap(fileno, length, **flags):
+            calls.append((fileno, length, flags))
+            return mmap.mmap(fileno, length, **flags)
+
+        monkeypatch.setattr(sim, "mmap", types.SimpleNamespace(
+            mmap=recording_mmap, MAP_PRIVATE=mmap.MAP_PRIVATE, MAP_ANONYMOUS=mmap.MAP_ANONYMOUS
+        ))
+        private = simulate_sensor(1.0, 2.0, config)
+        monkeypatch.setattr(sim, "mmap", types.SimpleNamespace(mmap=recording_mmap))
+        assert simulate_sensor(1.0, 2.0, config) == private
+        length = 8 * (_WARMUP + 5000)
+        assert calls == [(-1, length, {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}), (-1, length, {})]
 
     def test_streams_are_independent(self):
         config = SimConfig(num_samples=5000, seed=9)
