@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 
-_BUDGET_ATOL = 1e-9  # validate_for: shares may exceed the budget by rounding
+_BUDGET_RTOL = 1e-9  # validate_for: shares may exceed the budget by rounding, relative to it
 _COST_RTOL = 1e-9  # validate_for: a total_cost written at 12 significant digits still matches
 
 
@@ -151,9 +151,9 @@ class AllocationPlan:
         """Raise ValueError unless the plan is consistent with ``scenario``.
 
         Checks the sensor count, strict service-rate dominance
-        (``mu_i * r_i > theta_i``), the budget cap up to 1e-9, and that
-        ``total_cost`` is within 1e-9 relative of the recomputed
-        cost-weighted delay sum.
+        (``mu_i * r_i > theta_i``), that the shares sum to at most
+        ``budget * (1 + 1e-9)``, and that ``total_cost`` is within 1e-9
+        relative of the recomputed cost-weighted delay sum.
         """
         if self.n != scenario.n:
             raise ValueError(f"plan covers {self.n} sensors, scenario has {scenario.n}")
@@ -166,7 +166,7 @@ class AllocationPlan:
                 f"outage exponent {scenario.theta[i]:.6g}"
             )
         total_share = math.fsum(self.r.tolist())
-        if total_share > scenario.budget + _BUDGET_ATOL:
+        if total_share > scenario.budget * (1.0 + _BUDGET_RTOL):
             raise ValueError(f"shares sum to {total_share:.12g}, above budget {scenario.budget:.12g}")
         recomputed = scenario.delay_cost(self.b)
         if not abs(self.total_cost - recomputed) <= _COST_RTOL * recomputed:

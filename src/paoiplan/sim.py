@@ -21,7 +21,12 @@ spent more time passing the lock than they saved.  A sensor holds one
 array of samples, in a private anonymous memory map released when it
 finishes: the peak ages are written over the draws and the fit partitions
 them in place, so peak memory is about 8 bytes * (num_samples + 10 000)
-per sensor running at once.
+per sensor running at once.  The map is rounded up to whole 2 MiB pages,
+so that Linux aligns it for transparent huge pages, and the whole pages
+the samples fill are advised MADV_HUGEPAGE: 1.01M samples then fault in
+as 3 huge pages and about 440 small ones rather than 1 970 small ones.
+The partly filled last page is not advised and the rest is never
+touched, so no memory is used that the samples do not need.
 """
 from __future__ import annotations
 
@@ -40,6 +45,7 @@ _FIT_HI_QUANTILE = 0.999
 _FIT_GRID_POINTS = 50
 _MIN_FIT_POINTS = 10
 _LINDLEY_BLOCK = 16384
+_HUGE_PAGE = 2 << 20  # bytes in a transparent huge page on x86-64 Linux
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,8 @@ class TailEstimate:
     """Empirical tail of the peak age plus the fitted decay exponent.
 
     ``fitted_exponent`` and ``stderr`` are None when the fit window is
-    degenerate; ``fit_error`` then carries the reason.
+    degenerate or its spread leaves the floats; ``fit_error`` then carries
+    the reason.
     """
 
     paoi_samples_summary: PaoiSummary
@@ -100,7 +107,11 @@ def _peak_ages(times: np.ndarray, b: float) -> np.ndarray:
     # within about 3e-12 relative of the scalar recursion.  The prefix
     # minimum runs from min(first sum, 0), which makes it min(0, cummin S)
     # without a pass of its own (min is exact), and goes over the
-    # increments, which the sums no longer need.  The peak age is
+    # increments, which the sums no longer need.  It is np.fmin's, about a
+    # quarter faster per block than np.minimum's and the same bits: the two
+    # differ only at NaN, and once a block's sums are NaN they stay NaN, so
+    # waits - floor is NaN either way; a -0.0 floor is absorbed when T is
+    # added.  The peak age is
     # A_j = D_j - S_{j-1} = v_j + b.  A block reads times[start - 1:stop]
     # before it writes times[start - 1:stop - 1], and the carry is its own
     # last backlog, so no service time is read after it is overwritten.
@@ -112,7 +123,7 @@ def _peak_ages(times: np.ndarray, b: float) -> np.ndarray:
         waits = np.cumsum(steps)
         first = waits[0]
         waits[0] = min(first, 0.0)
-        floor = np.minimum.accumulate(waits, out=steps)
+        floor = np.fmin.accumulate(waits, out=steps)
         waits[0] = first
         waits -= floor
         backlog = np.add(waits, times[start:stop], out=waits)
@@ -183,8 +194,11 @@ def _fit_tail(
         )
 
     ys = np.log(ccdf[usable])
-    x_bar, y_bar = xs.mean(), ys.mean()
-    sxx = float(np.sum((xs - x_bar) ** 2))
+    with np.errstate(over="ignore"):
+        x_bar, y_bar = xs.mean(), ys.mean()
+        sxx = float(np.sum((xs - x_bar) ** 2))
+    if not 0.0 < sxx < math.inf:
+        return points, None, None, f"fit window spread {sxx!r} is not a finite positive number"
     slope = float(np.sum((xs - x_bar) * (ys - y_bar)) / sxx)
     resid = ys - (y_bar + slope * (xs - x_bar))
     dof = xs.size - 2
@@ -198,7 +212,9 @@ def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) 
     Draws ``_WARMUP + num_samples`` exponential(rate ``nu``) service times by
     inverse transform from a substream selected by ``(config.seed, stream)``,
     runs the FCFS delivery recursion, discards the warm-up peaks, and fits
-    the tail over the 0.90-0.999 quantile window.
+    the tail over the 0.90-0.999 quantile window.  Raises ValueError when
+    ``nu``, ``b`` or ``nu*b`` is not finite and positive, or when the peak
+    ages or their mean overflow the floats.
     """
     nu, b = _rate_and_delay(nu, b)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream)))
@@ -208,21 +224,36 @@ def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) 
     # touches depends on thread scheduling, so peak memory would vary by
     # whole arrays between identical runs.  The map is private where mmap
     # takes flags (not on Windows): mmap's default shared map is backed by
-    # shared memory, whose pages fault in slower than private ones.
+    # shared memory, whose pages fault in slower than private ones.  Once
+    # the samples fill a 2 MiB page, a length of whole 2 MiB pages lets
+    # Linux align the map on one (an unrounded map was not aligned), and
+    # MADV_HUGEPAGE on the pages they fill makes each a single fault where
+    # transparent huge pages are set to madvise.  Advising the partly used
+    # last page too would fill all of it: more resident memory for no gain
+    # in time.  The advice is best effort, as the flags are.
     count = _WARMUP + config.num_samples
+    huge = 8 * count // _HUGE_PAGE * _HUGE_PAGE
+    length = -(-8 * count // _HUGE_PAGE) * _HUGE_PAGE if huge else 8 * count
     if hasattr(mmap, "MAP_PRIVATE"):
-        buffer = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        buffer = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     else:
-        buffer = mmap.mmap(-1, 8 * count)
-    times = np.frombuffer(buffer, dtype=np.float64)
-    # -log1p(-u)/nu, evaluated in place: sign flips are exact, so the
-    # values are the same as the out-of-place expression.
-    rng.random(out=times)
-    np.log1p(np.negative(times, out=times), out=times)
-    times /= -nu
-
-    kept = _peak_ages(times, b)[_WARMUP - 1:]
-    summary = PaoiSummary(count=int(kept.size), mean=float(kept.mean()), max=float(kept.max()))
+        buffer = mmap.mmap(-1, length)
+    if huge and hasattr(mmap, "MADV_HUGEPAGE"):
+        try:
+            buffer.madvise(mmap.MADV_HUGEPAGE, 0, huge)
+        except OSError:  # a kernel without transparent huge pages
+            pass
+    times = np.frombuffer(buffer, dtype=np.float64, count=count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # -log1p(-u)/nu, evaluated in place: sign flips are exact, so the
+        # values are the same as the out-of-place expression.
+        rng.random(out=times)
+        np.log1p(np.negative(times, out=times), out=times)
+        times /= -nu
+        kept = _peak_ages(times, b)[_WARMUP - 1:]
+        summary = PaoiSummary(count=int(kept.size), mean=float(kept.mean()), max=float(kept.max()))
+    if not (math.isfinite(summary.mean) and math.isfinite(summary.max)):
+        raise ValueError(f"peak ages overflow the floats at nu={nu!r}, b={b!r}")
     points, exponent, stderr, fit_error = _fit_tail(kept, _FIT_LO_QUANTILE, _FIT_HI_QUANTILE)
     return TailEstimate(
         paoi_samples_summary=summary,

@@ -282,6 +282,17 @@ class TestSimulateRoundTrip:
         assert cli.main(["simulate", scenario_file(TWO_SYM), str(plan_path), "--samples", "1000"]) == 1
         assert "above budget" in capsys.readouterr().err
 
+    def test_plan_over_a_tiny_budget_exits_1(self, scenario_file, tmp_path, capsys):
+        # The exact plan's shares times 500 sum to 5e-10, 500 budgets over.
+        tiny = {"budget": 1e-12, "sensors": [{"mu": 1, "cost": 1, "theta": 0.25e-12}] * 2}
+        scenario = scenario_file(tiny)
+        plan_path = tmp_path / "plan.json"
+        assert cli.main(["solve", scenario, "--out", str(plan_path)]) == 0
+        plan = strict_loads(plan_path.read_text())
+        plan_path.write_text(json.dumps({**plan, "r": [500 * r for r in plan["r"]]}))
+        assert cli.main(["simulate", scenario, str(plan_path), "--samples", "1000"]) == 1
+        _one_error_line(capsys.readouterr(), "above budget")
+
     def test_unstable_queue_exits_1(self, scenario_file, tmp_path, capsys):
         # Shares within the budget and above theta, but nu*b = 0.5 <= 1.
         plan_path = tmp_path / "plan.json"

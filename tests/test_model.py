@@ -170,6 +170,24 @@ class TestAllocationPlan:
         with pytest.raises(ValueError, match="total_cost"):
             wrong_cost.validate_for(scenario)
 
+    def test_validate_for_caps_the_shares_relative_to_the_budget(self):
+        # 500 times the exact shares of a 1e-12 budget sum to 5e-10, which an
+        # absolute 1e-9 margin let through.  At 1e12 one ulp is 1.2e-4, far
+        # above 1e-9, so the absolute margin refused any rounding at all.
+        tiny = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25e-12, 0.25e-12), budget=1e-12)
+        exact = solve_exact(tiny)
+        inflated = AllocationPlan(r=exact.r * 500, b=exact.b, method=exact.method,
+                                  total_cost=exact.total_cost, lam=exact.lam)
+        assert math.fsum(inflated.r.tolist()) == pytest.approx(5e-10, rel=1e-12)
+        exact.validate_for(tiny)
+        with pytest.raises(ValueError, match="above budget"):
+            inflated.validate_for(tiny)
+
+        large = Scenario.from_arrays(mu=(1,), cost=(1,), theta=(1,), budget=1e12)
+        over_by_one_ulp = AllocationPlan(r=(math.nextafter(1e12, math.inf),), b=(1.0,),
+                                         method=SolveMethod.EXACT, total_cost=1.0)
+        over_by_one_ulp.validate_for(large)
+
     def test_validate_for_accepts_total_cost_at_12_significant_digits(self):
         scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.25))
         plan = solve_exact(scenario)

@@ -46,6 +46,26 @@ def reference_peak_ages(service_times: list[float], b: float) -> list[float]:
     return ages
 
 
+def minimum_peak_ages(times: np.ndarray, b: float) -> np.ndarray:
+    # _peak_ages as it was with np.minimum.accumulate for the prefix minimum,
+    # kept to pin np.fmin.accumulate to the same bits.
+    carry = times[0]
+    for start in range(1, times.size, _LINDLEY_BLOCK):
+        stop = min(start + _LINDLEY_BLOCK, times.size)
+        steps = times[start - 1:stop - 1] - b
+        steps[0] = carry - b
+        waits = np.cumsum(steps)
+        first = waits[0]
+        waits[0] = min(first, 0.0)
+        floor = np.minimum.accumulate(waits, out=steps)
+        waits[0] = first
+        waits -= floor
+        backlog = np.add(waits, times[start:stop], out=waits)
+        carry = backlog[-1]
+        np.add(backlog, b, out=times[start - 1:stop - 1])
+    return times[:-1]
+
+
 def reference_fit_tail(ages, lo_quantile, hi_quantile):
     # The fit over a full sort of the samples.
     sorted_ages = np.sort(ages)
@@ -192,6 +212,18 @@ class TestBlockedRecursion:
         ages = _peak_ages(times.copy(), nu_b)
         np.testing.assert_allclose(ages, reference_peak_ages(times.tolist(), nu_b), rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("nan_at", [None, _LINDLEY_BLOCK + 100])
+    @pytest.mark.parametrize("nu_b", [1.05, 1.3, 4.0])
+    def test_fmin_prefix_minimum_gives_the_bits_of_minimum(self, nu_b, nan_at):
+        # Three whole blocks and a partial one; a NaN inside the second block
+        # is skipped by fmin where minimum propagates it.
+        times = exponential_times(1.0, 3 * _LINDLEY_BLOCK + 4322, seed=7)
+        if nan_at is not None:
+            times[nan_at] = math.nan
+        expected = minimum_peak_ages(times.copy(), nu_b)
+        ages = _peak_ages(times.copy(), nu_b)
+        assert np.array_equal(ages.view(np.uint64), expected.view(np.uint64))
+
 
 class TestFitTailIdentity:
     def test_tail_only_sort_matches_full_sort(self):
@@ -252,23 +284,39 @@ class TestTailEstimate:
         assert first == second
 
     def test_private_map_and_its_fallback_give_the_same_estimate(self, monkeypatch):
-        # A private map where the mmap module has MAP_PRIVATE; where it has
-        # none and mmap.mmap takes no flags, as on Windows, the default map.
-        config = SimConfig(num_samples=5000, seed=9)
+        # 310 000 samples fill one 2 MiB page and part of a second: the map
+        # is rounded up to two pages and only the first is advised.  A
+        # private, advised map where the mmap module has MAP_PRIVATE and
+        # MADV_HUGEPAGE; advice the kernel refuses is ignored; without
+        # MADV_HUGEPAGE no advice; without MAP_PRIVATE, as on Windows where
+        # mmap.mmap takes no flags, the default map.
+        config = SimConfig(num_samples=300_000, seed=9)
         calls = []
 
-        def recording_mmap(fileno, length, **flags):
-            calls.append((fileno, length, flags))
-            return mmap.mmap(fileno, length, **flags)
+        class RecordingMap(mmap.mmap):
+            def madvise(self, *args):
+                calls.append(("madvise", *args))
+                return super().madvise(*args)
 
-        monkeypatch.setattr(sim, "mmap", types.SimpleNamespace(
-            mmap=recording_mmap, MAP_PRIVATE=mmap.MAP_PRIVATE, MAP_ANONYMOUS=mmap.MAP_ANONYMOUS
-        ))
-        private = simulate_sensor(1.0, 2.0, config)
-        monkeypatch.setattr(sim, "mmap", types.SimpleNamespace(mmap=recording_mmap))
-        assert simulate_sensor(1.0, 2.0, config) == private
-        length = 8 * (_WARMUP + 5000)
-        assert calls == [(-1, length, {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}), (-1, length, {})]
+        def recording_mmap(fileno, length, **flags):
+            calls.append(("mmap", fileno, length, flags))
+            return RecordingMap(fileno, length, **flags)
+
+        private = {"MAP_PRIVATE": mmap.MAP_PRIVATE, "MAP_ANONYMOUS": mmap.MAP_ANONYMOUS}
+        estimates = []
+        for names in ({**private, "MADV_HUGEPAGE": mmap.MADV_HUGEPAGE}, {**private, "MADV_HUGEPAGE": -1},
+                      private, {}):
+            monkeypatch.setattr(sim, "mmap", types.SimpleNamespace(mmap=recording_mmap, **names))
+            estimates.append(simulate_sensor(1.0, 2.0, config))
+        assert estimates[1:] == estimates[:1] * 3
+        length, advised = 2 * sim._HUGE_PAGE, sim._HUGE_PAGE
+        private_map = ("mmap", -1, length, {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS})
+        assert calls == [
+            private_map, ("madvise", mmap.MADV_HUGEPAGE, 0, advised),
+            private_map, ("madvise", -1, 0, advised),
+            private_map,
+            ("mmap", -1, length, {}),
+        ]
 
     def test_streams_are_independent(self):
         config = SimConfig(num_samples=5000, seed=9)
@@ -309,6 +357,21 @@ class TestTailEstimate:
         assert estimate.fitted_exponent is None
         assert estimate.stderr is None
         assert "degenerate fit window" in estimate.fit_error
+
+    @pytest.mark.parametrize("nu,b", [(1e300, 3e-300), (1e-300, 3e300)])
+    def test_fit_window_spread_outside_the_floats_reports_fit_error(self, nu, b):
+        # nu*b = 3 both times, but the squared spread of the fit window
+        # underflows to 0 for peaks near 1e-300 and overflows near 1e300.
+        estimate = simulate_sensor(nu, b, SimConfig(num_samples=20_000))
+        assert estimate.fitted_exponent is None and estimate.stderr is None
+        assert "not a finite positive number" in estimate.fit_error
+        summary = estimate.paoi_samples_summary
+        assert math.isfinite(summary.mean) and math.isfinite(summary.max)
+
+    def test_peak_ages_overflowing_the_floats_raise(self):
+        # The prefix sums of a block of draws near 1e305 overflow.
+        with pytest.raises(ValueError, match="overflow the floats"):
+            simulate_sensor(1e-305, 3e305, SimConfig(num_samples=20_000))
 
     @pytest.mark.parametrize("nu,b", [(1.0, 2.0), (1.0, 3.0), (2.0, 1.5)])
     def test_fitted_exponent_tracks_theory(self, nu, b):
