@@ -41,7 +41,7 @@ def feasible_slack(scenario: Scenario) -> float:
 
     The full report, with its ranking, is built only for the error.
     """
-    slack = scenario.budget - math.fsum((scenario.theta / scenario.mu).tolist())
+    slack = scenario.budget - math.fsum(scenario._min_share.tolist())
     if not slack > 0.0:
         raise InfeasibleScenarioError(check_feasibility(scenario))
     return slack
@@ -55,7 +55,7 @@ def check_feasibility(scenario: Scenario) -> FeasibilityReport:
     ``binding_sensors`` lists all sensor indices by descending
     ``theta_i / mu_i`` contribution (ties broken by index).
     """
-    contributions = scenario.theta / scenario.mu
+    contributions = scenario._min_share
     load = math.fsum(contributions.tolist())
     slack = scenario.budget - load
     # Stable sort of the negated contributions: tied sensors stay in index order.

@@ -6,12 +6,22 @@ the service rate scales linearly with the resource share ``r``.  A
 ``AllocationPlan`` holds each sensor's share and sampling delay.  Both
 planners build their plan through ``_plan_from_headroom``, which puts each
 delay at the tight point of its tail constraint.
+
+A scenario also carries the planning kernel: the per-sensor constants that
+the feasibility test and both planners share, each computed from ``mu``,
+``cost`` and ``theta`` on first use and then kept.  They are the minimum
+shares ``theta/mu``, the closed form's weights ``cost/theta``, and, for the
+exact planner only, ``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``, from
+which ``Scenario._headroom`` gives the headroom above the minimum shares
+and its slope at ``s = 1/lam``.  Nothing is evaluated before a path needs
+it, so the feasibility test and the closed form never form ``theta**2``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +117,36 @@ class Scenario:
         """
         return math.fsum((self.cost * np.asarray(b, dtype=float)).tolist())
 
+    @cached_property
+    def _min_share(self) -> np.ndarray:
+        """``theta/mu``: below it a sensor's service rate does not exceed its exponent."""
+        return self.theta / self.mu
+
+    @cached_property
+    def _weight(self) -> np.ndarray:
+        """``cost/theta``: the headroom's slope at ``s = 0``, the closed form's weights."""
+        return self.cost / self.theta
+
+    @cached_property
+    def _root_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exact planner's ``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``."""
+        return 4.0 * self.cost * self.mu / self.theta**2, self.theta / (2.0 * self.mu)
+
+    def _headroom(self, s: float, with_slope: bool = False):
+        """Per-sensor share above ``theta/mu`` at ``s = 1/lam``, and its slope in ``s`` if asked.
+
+        The stationarity condition ``mu*lam*r**2 - theta*lam*r - cost = 0``
+        has one positive root, ``(theta/mu) * (1 + sqrt(1 + q*s)) / 2``.  Its
+        headroom ``(theta/(2*mu)) * (sqrt(1 + q*s) - 1)`` is written with
+        expm1/log1p so that it keeps full relative precision when ``q*s`` is
+        tiny (very large multipliers, or a scenario at the feasibility
+        boundary); the slope is ``(cost/theta) / sqrt(1 + q*s)``.
+        """
+        q, half_min_share = self._root_constants
+        sqrt_minus_one = np.expm1(0.5 * np.log1p(q * s))
+        headroom = half_min_share * sqrt_minus_one
+        return (headroom, self._weight / (1.0 + sqrt_minus_one)) if with_slope else headroom
+
 
 class SolveMethod(str, Enum):
     EXACT = "exact"
@@ -186,11 +226,11 @@ def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=N
     refusal is raised again naming the sensor and the cause, so a plan that
     passes costs no extra check.
     """
-    mu, theta = scenario.mu, scenario.theta
+    mu, theta, min_share = scenario.mu, scenario.theta, scenario._min_share
     with np.errstate(divide="ignore", over="ignore"):
         delays = np.log1p(theta / (mu * headroom)) / theta
     try:
-        return AllocationPlan(theta / mu + headroom, delays, method, scenario.delay_cost(delays), lam)
+        return AllocationPlan(min_share + headroom, delays, method, scenario.delay_cost(delays), lam)
     except ValueError:
         unrepresentable = np.flatnonzero((delays == 0.0) | (delays == math.inf))
         if not unrepresentable.size:

@@ -84,8 +84,10 @@ class TailEstimate:
     """Empirical tail of the peak age plus the fitted decay exponent.
 
     ``fitted_exponent`` and ``stderr`` are None when the fit window is
-    degenerate or its spread leaves the floats; ``fit_error`` then carries
-    the reason.
+    degenerate; ``fit_error`` then carries the reason.  The fit holds at any
+    float scale of the peak ages: it runs on them divided by a power of two
+    near the window's upper end, which is exact, so peaks near 1e-300 and
+    1e300 give the exponent of the same queue at unit scale, rescaled.
     """
 
     paoi_samples_summary: PaoiSummary
@@ -186,7 +188,13 @@ def _fit_tail(
 
     tail_count = int(tail.size - np.searchsorted(tail, x_hi, side="left"))
     usable = ccdf > 0.0
-    xs = grid[usable]
+    # The regression runs on xs / scale, scale the power of two at or just
+    # below x_hi, so its squared spread stays inside the floats whatever the
+    # scale of the ages.  Dividing by a power of two is exact, and so is
+    # every sum, product and square root after it, so the slope and stderr
+    # divided by scale are the unscaled fit's bit for bit.
+    scale = math.ldexp(1.0, math.frexp(x_hi)[1] - 1)
+    xs = grid[usable] / scale
     if tail_count < _MIN_FIT_POINTS or np.unique(xs).size < _MIN_FIT_POINTS:
         return points, None, None, (
             f"degenerate fit window: {tail_count} samples at or above the upper "
@@ -194,16 +202,15 @@ def _fit_tail(
         )
 
     ys = np.log(ccdf[usable])
-    with np.errstate(over="ignore"):
-        x_bar, y_bar = xs.mean(), ys.mean()
-        sxx = float(np.sum((xs - x_bar) ** 2))
+    x_bar, y_bar = xs.mean(), ys.mean()
+    sxx = float(np.sum((xs - x_bar) ** 2))
     if not 0.0 < sxx < math.inf:
         return points, None, None, f"fit window spread {sxx!r} is not a finite positive number"
     slope = float(np.sum((xs - x_bar) * (ys - y_bar)) / sxx)
     resid = ys - (y_bar + slope * (xs - x_bar))
     dof = xs.size - 2
     stderr = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
-    return points, -slope, stderr, None
+    return points, -slope / scale, stderr / scale, None
 
 
 def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) -> TailEstimate:

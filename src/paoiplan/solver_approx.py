@@ -12,8 +12,6 @@ load 0.5, 2.4e-2 at 0.9, 8e-4 at 0.99 and 5e-12 at 1 - 1e-6, at 1e3 and
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .feasibility import feasible_slack
 from .model import AllocationPlan, Scenario, SolveMethod, _plan_from_headroom
 
@@ -28,6 +26,6 @@ def solve_approx(scenario: Scenario) -> AllocationPlan:
     scenario regardless of size; accuracy is measured, not enforced.
     """
     slack = feasible_slack(scenario)
-    weights = scenario.cost / scenario.theta
-    headroom = weights * (slack / float(np.sum(weights)))
+    weights = scenario._weight
+    headroom = weights * (slack / float(weights.sum()))
     return _plan_from_headroom(scenario, headroom, SolveMethod.APPROX)

@@ -8,6 +8,13 @@ headroom above ``theta/mu``.  The multiplier is found by Newton on 1/lam
 from zero: in ``s = 1/lam`` the budget equation is concave and increasing
 with value 0 at ``s = 0``, so the iterates climb monotonically to the root
 and stop when a step no longer raises ``s``.
+
+Every headroom comes from the scenario's planning kernel (see ``model``):
+``q = 4*cost*mu/theta**2``, ``theta/(2*mu)`` and ``cost/theta`` are
+computed once per scenario, not at each Newton step, so a step costs one
+log1p, one expm1 and a few products per sensor.  The Newton steps ask for
+the headroom and its slope; the plan, at ``1/lam``, and
+``allocation_at_lambda`` ask for the headroom alone.
 """
 from __future__ import annotations
 
@@ -27,22 +34,6 @@ class ConvergenceError(RuntimeError):
     """Root finding failed to converge within the iteration budget."""
 
 
-def _headroom(scenario: Scenario, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sensor share above ``theta/mu`` at ``s = 1/lam``, and its slope in ``s``.
-
-    The stationarity condition ``mu*lam*r**2 - theta*lam*r - cost = 0`` has
-    one positive root, ``(theta/mu) * (1 + sqrt(1 + q*s)) / 2`` with
-    ``q = 4*cost*mu/theta**2``.  Its headroom ``(theta/(2*mu)) *
-    (sqrt(1 + q*s) - 1)`` is written with expm1/log1p so that it keeps full
-    relative precision when ``q*s`` is tiny (very large multipliers, or a
-    scenario at the feasibility boundary); the slope is
-    ``(cost/theta) / sqrt(1 + q*s)``.
-    """
-    mu, cost, theta = scenario.mu, scenario.cost, scenario.theta
-    sqrt_minus_one = np.expm1(0.5 * np.log1p(4.0 * cost * mu / theta**2 * s))
-    return theta / (2.0 * mu) * sqrt_minus_one, cost / theta / (1.0 + sqrt_minus_one)
-
-
 def allocation_at_lambda(scenario: Scenario, lam: float) -> np.ndarray:
     """Per-sensor shares at multiplier ``lam``: the positive quadratic root.
 
@@ -51,8 +42,7 @@ def allocation_at_lambda(scenario: Scenario, lam: float) -> np.ndarray:
     """
     if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lambda must be a finite positive number, got {lam!r}")
-    headroom, _ = _headroom(scenario, 1.0 / lam)
-    return scenario.theta / scenario.mu + headroom
+    return scenario._min_share + scenario._headroom(1.0 / lam)
 
 
 def residual(scenario: Scenario, lam: float) -> float:
@@ -66,8 +56,8 @@ def _find_multiplier(scenario: Scenario, slack: float) -> float:
     # root; in floats the iterates stop rising once they reach it.
     s = 0.0
     for _ in range(_MAX_NEWTON_STEPS):
-        headroom, slope = _headroom(scenario, s)
-        next_s = s + (slack - math.fsum(headroom.tolist())) / float(np.sum(slope))
+        headroom, slope = scenario._headroom(s, with_slope=True)
+        next_s = s + (slack - math.fsum(headroom.tolist())) / float(slope.sum())
         if not next_s > s:
             if s > 0.0 and math.isfinite(next_s):
                 return 1.0 / s
@@ -88,5 +78,4 @@ def solve_exact(scenario: Scenario) -> AllocationPlan:
     Newton step leaves the finite floats or the step cap is reached.
     """
     lam = _find_multiplier(scenario, feasible_slack(scenario))
-    headroom, _ = _headroom(scenario, 1.0 / lam)
-    return _plan_from_headroom(scenario, headroom, SolveMethod.EXACT, lam)
+    return _plan_from_headroom(scenario, scenario._headroom(1.0 / lam), SolveMethod.EXACT, lam)

@@ -1,9 +1,11 @@
 """Shared test utilities: scenario generators and independent oracles."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from paoiplan import AllocationPlan, Scenario
+from paoiplan import AllocationPlan, Scenario, SolveMethod
 
 # One line per acceptance criterion, printed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -59,3 +61,53 @@ def plan_to_dict(plan: AllocationPlan) -> dict:
     if plan.lam is not None:
         data["lambda"] = plan.lam
     return data
+
+
+# A frozen copy of both planners as they stood before their per-sensor
+# constants were kept on the scenario: every constant is recomputed from
+# mu, cost and theta at each use, in the same operation order.  The
+# package's plans must equal these bit for bit.
+
+
+def frozen_headroom(scenario: Scenario, s: float) -> tuple[np.ndarray, np.ndarray]:
+    mu, cost, theta = scenario.mu, scenario.cost, scenario.theta
+    sqrt_minus_one = np.expm1(0.5 * np.log1p(4.0 * cost * mu / theta**2 * s))
+    return theta / (2.0 * mu) * sqrt_minus_one, cost / theta / (1.0 + sqrt_minus_one)
+
+
+def frozen_find_multiplier(scenario: Scenario, slack: float) -> float:
+    s = 0.0
+    for _ in range(100):
+        headroom, slope = frozen_headroom(scenario, s)
+        next_s = s + (slack - math.fsum(headroom.tolist())) / float(np.sum(slope))
+        if not next_s > s:
+            assert s > 0.0 and math.isfinite(next_s)
+            return 1.0 / s
+        s = next_s
+    raise AssertionError("the frozen Newton loop reached its step cap")
+
+
+def _frozen_plan(scenario: Scenario, headroom, method: SolveMethod, lam=None) -> AllocationPlan:
+    mu, cost, theta = scenario.mu, scenario.cost, scenario.theta
+    delays = np.log1p(theta / (mu * headroom)) / theta
+    total_cost = math.fsum((cost * delays).tolist())
+    return AllocationPlan(theta / mu + headroom, delays, method, total_cost, lam)
+
+
+def _frozen_slack(scenario: Scenario) -> float:
+    slack = scenario.budget - math.fsum((scenario.theta / scenario.mu).tolist())
+    assert slack > 0.0
+    return slack
+
+
+def frozen_solve_exact(scenario: Scenario) -> AllocationPlan:
+    lam = frozen_find_multiplier(scenario, _frozen_slack(scenario))
+    headroom, _ = frozen_headroom(scenario, 1.0 / lam)
+    return _frozen_plan(scenario, headroom, SolveMethod.EXACT, lam)
+
+
+def frozen_solve_approx(scenario: Scenario) -> AllocationPlan:
+    slack = _frozen_slack(scenario)
+    weights = scenario.cost / scenario.theta
+    headroom = weights * (slack / float(np.sum(weights)))
+    return _frozen_plan(scenario, headroom, SolveMethod.APPROX)

@@ -358,15 +358,26 @@ class TestTailEstimate:
         assert estimate.stderr is None
         assert "degenerate fit window" in estimate.fit_error
 
-    @pytest.mark.parametrize("nu,b", [(1e300, 3e-300), (1e-300, 3e300)])
-    def test_fit_window_spread_outside_the_floats_reports_fit_error(self, nu, b):
-        # nu*b = 3 both times, but the squared spread of the fit window
-        # underflows to 0 for peaks near 1e-300 and overflows near 1e300.
-        estimate = simulate_sensor(nu, b, SimConfig(num_samples=20_000))
-        assert estimate.fitted_exponent is None and estimate.stderr is None
-        assert "not a finite positive number" in estimate.fit_error
-        summary = estimate.paoi_samples_summary
-        assert math.isfinite(summary.mean) and math.isfinite(summary.max)
+    @pytest.mark.parametrize("k", [600, -600, 990, -990])
+    def test_fit_at_any_float_scale_is_the_unit_fit_rescaled(self, k):
+        # nu = 2**-k and b = 3*2**k scale every draw, peak age, quantile and
+        # grid point of the nu = 1, b = 3 queue by exactly 2**k, so the
+        # estimate is the unit one with its ages scaled by 2**k and its
+        # exponent and stderr by 2**-k.  The raw fit window's squared spread
+        # would overflow at k = 600 and underflow at k = -600.
+        config = SimConfig(num_samples=20_000)
+        unit = simulate_sensor(1.0, 3.0, config)
+        assert unit.fit_error is None
+        summary = unit.paoi_samples_summary
+        assert simulate_sensor(2.0**-k, 3.0 * 2.0**k, config) == TailEstimate(
+            paoi_samples_summary=PaoiSummary(
+                count=summary.count, mean=math.ldexp(summary.mean, k), max=math.ldexp(summary.max, k)
+            ),
+            ccdf_points=tuple((math.ldexp(x, k), p) for x, p in unit.ccdf_points),
+            fitted_exponent=math.ldexp(unit.fitted_exponent, -k),
+            stderr=math.ldexp(unit.stderr, -k),
+            fit_error=None,
+        )
 
     def test_peak_ages_overflowing_the_floats_raise(self):
         # The prefix sums of a block of draws near 1e305 overflow.
