@@ -180,16 +180,8 @@ def _cmd_feasible(args) -> int:
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def _cmd_solve(args) -> int:
-    scenario = load_scenario(args.scenario)
-    plan = solve_exact(scenario)
-    _emit(plan, args.out)
-    return EXIT_OK
-
-
-def _cmd_approx(args) -> int:
-    plan = solve_approx(load_scenario(args.scenario))
-    _emit(plan, args.out)
+def _cmd_plan(args) -> int:
+    _emit(args.planner(load_scenario(args.scenario)), args.out)
     return EXIT_OK
 
 
@@ -250,12 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact joint plan")
     p.add_argument("scenario")
     p.add_argument("--out", default=None, help="write the plan JSON here instead of stdout")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_plan, planner=solve_exact)
 
     p = sub.add_parser("approx", help="closed-form approximate plan")
     p.add_argument("scenario")
     p.add_argument("--out", default=None, help="write the plan JSON here instead of stdout")
-    p.set_defaults(func=_cmd_approx)
+    p.set_defaults(func=_cmd_plan, planner=solve_approx)
 
     p = sub.add_parser("exponent", help="tail exponent for one (rate, delay) pair")
     p.add_argument("--nu", type=float, required=True, help="service rate")

@@ -19,12 +19,13 @@ the recursion's blocks are 16384 samples long: with 4096-sample blocks a
 1M-sample sensor makes about 1 700 calls, and two threads running it
 spent more time passing the lock than they saved.  A sensor holds one
 array of samples, in a private anonymous memory map released when it
-finishes: the peak ages are written over the draws and the fit partitions
-them in place, so peak memory is about 8 bytes * (num_samples + 10 000)
-per sensor running at once.  The map is rounded up to whole 2 MiB pages,
-so that Linux aligns it for transparent huge pages, and the whole pages
-the samples fill are advised MADV_HUGEPAGE: 1.01M samples then fault in
-as 3 huge pages and about 440 small ones rather than 1 970 small ones.
+finishes: the peak ages are written over the draws, and the fit
+partitions them once and sorts the top tenth in place, so peak memory is
+about 8 bytes * (num_samples + 10 000) per sensor running at once.  The
+map is rounded up to whole 2 MiB pages, so that Linux aligns it for
+transparent huge pages, and the whole pages the samples fill are advised
+MADV_HUGEPAGE: 1.01M samples then fault in as 3 huge pages and about 440
+small ones rather than 1 970 small ones.
 The partly filled last page is not advised and the rest is never
 touched, so no memory is used that the samples do not need.
 """
@@ -134,59 +135,51 @@ def _peak_ages(times: np.ndarray, b: float) -> np.ndarray:
     return times[:-1]
 
 
-def _quantiles(
-    ages: np.ndarray, lo_quantile: float, hi_quantile: float
-) -> tuple[float, float, np.ndarray]:
-    # np.quantile(ages, (lo, hi)) bit for bit, for lo <= hi, plus the part of
-    # ages that holds the order statistics from k_lo on.  Consumes ages'
-    # order: it partitions them in place, so take any summary whose rounding
-    # depends on the order (the mean) before.  numpy's default linear method
-    # reads order statistics k and k + 1 at the virtual index (n - 1)*q and
-    # interpolates between them as its _lerp does; from index n - 1 on it
-    # returns the maximum.  Partitioning at one kth at a time stays on
-    # numpy's fast path, which np.quantile's partition at four kth values
-    # leaves.  Each partition runs on the part above the previous one, and
-    # statistic k + 1 is the minimum above k.
-    n = ages.size
-    upper, offset = ages, 0
-    values, parts = [], []
-    for q in (lo_quantile, hi_quantile):
-        index = (n - 1) * q
-        if index < n - 1:
-            k = math.floor(index)
-            upper.partition(k - offset)
-            upper, offset = upper[k - offset:], k
-            a, b, t = float(upper[0]), float(upper[1:].min()), index - k
-            values.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
-        else:
-            values.append(float(upper.max()))
-        parts.append(upper)
-    return values[0], values[1], parts[0]
+def _quantile(upper: np.ndarray, k: int, q: float) -> float:
+    # np.quantile(ages, q) bit for bit, read from upper, the sorted order
+    # statistics k to n - 1 of the n ages, for a q whose virtual index
+    # (n - 1)*q is at least k.  numpy's default linear method reads
+    # statistics j and j + 1 at that index and interpolates between them as
+    # its _lerp does; from index n - 1 on it returns the maximum.
+    n = k + upper.size
+    index = (n - 1) * q
+    if index < n - 1:
+        j = math.floor(index)
+        a, b, t = float(upper[j - k]), float(upper[j - k + 1]), index - j
+        return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+    return float(upper[-1])
 
 
 def _fit_tail(
     ages: np.ndarray, lo_quantile: float, hi_quantile: float
 ) -> tuple[tuple[tuple[float, float], ...], float | None, float | None, str | None]:
-    # Consumes ages' order, as _quantiles does.  Only samples at or above
-    # x_lo reach the grid, so sorting that tail (about 1 - lo_quantile of
-    # them) gives the same counts as a full sort.  The interpolation puts
-    # x_lo at or above statistic k_lo, so the tail lies in the part
-    # _quantiles kept from k_lo on, unless x_lo is that statistic itself
-    # (t = 0, or ties): then copies of it below k_lo count too.
+    # Consumes ages' order: it partitions them at statistic k, the lower
+    # quantile's, and sorts the part from k on (about 1 - lo_quantile of
+    # them) in place, so take any summary whose rounding depends on the
+    # order (the mean) before.  Partitioning at one kth stays on numpy's
+    # fast path.  The sorted part holds both quantiles and every grid count:
+    # the interpolation puts x_lo at or above statistic k, so the samples
+    # below k reach no grid point, except copies of x_lo when it is that
+    # statistic itself (t = 0, or ties).  np.linspace ends the grid at x_hi
+    # exactly, and a collapsed window is the one point x_lo = x_hi, so the
+    # last count is the samples at or above x_hi.
     n = ages.size
-    x_lo, x_hi, upper = _quantiles(ages, lo_quantile, hi_quantile)
-    tail = upper[upper >= x_lo]
-    if tail.size == upper.size:
-        tail = ages[ages >= x_lo]
-    tail.sort()
+    k = min(math.floor((n - 1) * lo_quantile), n - 1)
+    ages.partition(k)
+    upper = ages[k:]
+    upper.sort()
+    x_lo, x_hi = _quantile(upper, k, lo_quantile), _quantile(upper, k, hi_quantile)
     if x_hi > x_lo:
         grid = np.linspace(x_lo, x_hi, _FIT_GRID_POINTS)
     else:
         grid = np.array([x_lo])
-    ccdf = (tail.size - np.searchsorted(tail, grid, side="left")) / n
+    counts = upper.size - np.searchsorted(upper, grid, side="left")
+    if x_lo == upper[0]:
+        counts[grid == x_lo] += np.count_nonzero(ages[:k] == x_lo)
+    ccdf = counts / n
     points = tuple((float(x), float(p)) for x, p in zip(grid, ccdf))
 
-    tail_count = int(tail.size - np.searchsorted(tail, x_hi, side="left"))
+    tail_count = int(counts[-1])
     usable = ccdf > 0.0
     # The regression runs on xs / scale, scale the power of two at or just
     # below x_hi, so its squared spread stays inside the floats whatever the

@@ -4,10 +4,12 @@ Minimizing the cost-weighted sum of sampling delays over resource shares is
 convex, so the optimum is characterized by a single Lagrange multiplier
 ``lam`` on the budget constraint.  The per-sensor share at a given
 multiplier is the positive root of a quadratic; the plan is built from its
-headroom above ``theta/mu``.  The multiplier is found by Newton on 1/lam
-from zero: in ``s = 1/lam`` the budget equation is concave and increasing
-with value 0 at ``s = 0``, so the iterates climb monotonically to the root
-and stop when a step no longer raises ``s``.
+headroom above ``theta/mu``.  The multiplier is found by Newton on 1/lam:
+in ``s = 1/lam`` the budget equation is concave and increasing with value
+0 at ``s = 0``, so the iterates climb monotonically to the root and stop
+when a step no longer raises ``s``.  The first step, from ``s = 0``, needs
+no evaluation: there every headroom is 0 and its slope is ``cost/theta``,
+so Newton starts at the closed form's ``s = slack/sum(cost/theta)``.
 
 Every headroom comes from the scenario's planning kernel (see ``model``):
 ``q = 4*cost*mu/theta**2``, ``theta/(2*mu)`` and ``cost/theta`` are
@@ -25,8 +27,9 @@ import numpy as np
 from .feasibility import feasible_slack
 from .model import AllocationPlan, Scenario, SolveMethod, _plan_from_headroom
 
-# Newton from zero takes 3-8 steps at loads from 0.5 up to the boundary and
-# up to about 30 when the minimum shares sit many decades below the slack.
+# Newton takes 3-8 steps, the first of them from s = 0, at loads from 0.5 up
+# to the boundary and up to about 30 when the minimum shares sit many decades
+# below the slack.
 _MAX_NEWTON_STEPS = 100
 
 
@@ -53,16 +56,21 @@ def residual(scenario: Scenario, lam: float) -> float:
 def _find_multiplier(scenario: Scenario, slack: float) -> float:
     # Solve g(s) = slack, where g(s) is the total headroom.  The tangent of
     # the concave g lies above it, so each Newton step lands at or below the
-    # root; in floats the iterates stop rising once they reach it.
-    s = 0.0
+    # root; in floats the iterates stop rising once they reach it.  The step
+    # from s = 0 takes g = 0 and the slope sum(cost/theta) from the kernel:
+    # the headroom at 0 gives those same bits wherever q is finite.  A slope
+    # sum that is not positive (every slope underflowing to 0, or an
+    # infinite headroom's) ends the search instead of dividing by it.
+    s, gap, slope_sum = 0.0, slack, float(scenario._weight.sum())
     for _ in range(_MAX_NEWTON_STEPS):
-        headroom, slope = scenario._headroom(s, with_slope=True)
-        next_s = s + (slack - math.fsum(headroom.tolist())) / float(slope.sum())
+        next_s = s + gap / slope_sum if slope_sum > 0.0 else math.nan
         if not next_s > s:
             if s > 0.0 and math.isfinite(next_s):
                 return 1.0 / s
             break
         s = next_s
+        headroom, slope = scenario._headroom(s, with_slope=True)
+        gap, slope_sum = slack - math.fsum(headroom.tolist()), float(slope.sum())
     raise ConvergenceError(
         f"Newton on 1/lambda stopped at s={s!r} without meeting the budget slack {slack!r}"
     )

@@ -90,11 +90,21 @@ def test_closed_form_and_feasibility_raise_no_warning_where_theta_squared_underf
 
 
 def test_exact_planner_still_fails_where_theta_squared_underflows():
-    # q overflows to inf and Newton stops at s = 0; the closed form plans
+    # q overflows to inf.  Newton's first step, from s = 0, lands on the
+    # closed form's s = slack/sum(cost/theta), where every headroom is
+    # infinite and its slope 0, and stops there; the closed form plans
     # this scenario, and a scale-symmetric kernel would let the exact
     # planner plan it too.
-    with pytest.warns(RuntimeWarning), pytest.raises(ConvergenceError, match="stopped at s=0.0"):
+    with pytest.warns(RuntimeWarning), pytest.raises(ConvergenceError, match="stopped at s=5e-161 "):
         solve_exact(_tiny_exponents())
+
+
+def test_exact_planner_fails_cleanly_where_every_weight_underflows():
+    # cost/theta is 1e-400, 0 in floats: the first step has no slope to
+    # divide by, and Newton stops at s = 0 rather than dividing by zero.
+    scenario = Scenario.from_arrays(mu=(1e300, 1e300), cost=(1e-200, 1e-200), theta=(1e200, 1e200))
+    with pytest.raises(ConvergenceError, match="stopped at s=0.0 "):
+        solve_exact(scenario)
 
 
 def test_feasibility_raises_no_warning_where_the_minimum_shares_underflow():

@@ -31,7 +31,6 @@ from paoiplan.sim import (
     _WARMUP,
     _fit_tail,
     _peak_ages,
-    _quantiles,
 )
 
 
@@ -250,19 +249,26 @@ class TestFitTailIdentity:
         (0.5, math.nextafter(1.0, 0.0)), (0.999, 1.0), (1.0, 1.0),
     ])
     def test_quantiles_match_numpy_bit_for_bit(self, size, lo, hi):
-        # Both interpolation branches, and from index n - 1 on the maximum.
+        # Fixed windows for the full-sort oracle, which its random ones never
+        # reach: both interpolation branches, index 0, and from index n - 1
+        # on the maximum.  The window's ends are np.quantile's bit for bit.
         ages = 1.0 + np.random.default_rng(size).exponential(1.0, size)
-        expected, ordered = tuple(np.quantile(ages, (lo, hi)).tolist()), np.sort(ages)
-        x_lo, x_hi, upper = _quantiles(ages, lo, hi)
-        assert (x_lo, x_hi) == expected
-        # The part kept for the tail: the order statistics from k_lo on.
-        k_lo = math.floor((size - 1) * lo) if (size - 1) * lo < size - 1 else 0
-        assert np.array_equal(np.sort(upper), ordered[k_lo:])
+        window = tuple(np.quantile(ages, (lo, hi)).tolist())
+        expected = reference_fit_tail(ages, lo, hi)
+        fit = _fit_tail(ages, lo, hi)
+        assert fit == expected
+        assert (fit[0][0][0], fit[0][-1][0]) == window
 
-    def test_quantiles_partition_in_place(self):
-        # The kept part is a view of the caller's array, not of a copy.
-        ages = 1.0 + np.random.default_rng(8).exponential(1.0, 1000)
-        assert np.shares_memory(_quantiles(ages, 0.9, 0.999)[2], ages)
+    def test_fit_orders_the_samples_in_place(self):
+        # No copy of the samples: the fit partitions the caller's array at
+        # the lower quantile's statistic k and sorts the part from k on.  At
+        # 1000 samples the partition alone left that part sorted.
+        ages = 1.0 + np.random.default_rng(8).exponential(1.0, 100_000)
+        ordered = np.sort(ages)
+        _fit_tail(ages, 0.9, 0.999)
+        k = math.floor(99_999 * 0.9)
+        assert np.array_equal(ages[k:], ordered[k:])
+        assert ages[:k].max() <= ages[k]
 
     @pytest.mark.parametrize("lo", [0.5, 5 / 12])
     def test_tail_counts_ties_on_both_sides_of_the_lower_statistic(self, lo):
