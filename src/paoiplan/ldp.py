@@ -62,32 +62,44 @@ def exponent_variational(nu: float, b: float) -> ExponentResult:
     # return inf, and x + c with x at most the largest float and c at most
     # its log rounds to at most the largest float.
     c = min(nu * b, _LOG_MAX_FLOAT)
-
-    def objective(u: float) -> float:
-        x = math.exp(u)  # x = nu*t
-        y = x + c
-        return (y - 1.0 - math.log(y)) / x
-
     # Golden-section search over u = ln(nu*t).  The minimizer solves
     # ln y = c(1 - 1/y) at y = x + c, which puts it in
-    # [(c - 1)*sqrt(c), e^c - c): inside [ln(c - 1), c] in u.
-    a, d = math.log(c - 1.0), c
-    p, q = d - _INV_GOLDEN * (d - a), a + _INV_GOLDEN * (d - a)
-    f_p, f_q = objective(p), objective(q)
-    while d - a > _LOG_WIDTH:
+    # [(c - 1)*sqrt(c), e^c - c): inside [ln(c - 1), c] in u.  Each probe
+    # evaluates the objective (y - 1 - ln y)/x at x = e^u = nu*t, y = x + c,
+    # inline and on local names: a closure call and four global lookups per
+    # probe took about a fifth of the search's time.  w = d - a is the
+    # bracket width.
+    exp, log, inv_golden = math.exp, math.log, _INV_GOLDEN
+    a, d = log(c - 1.0), c
+    w = d - a
+    p, q = d - inv_golden * w, a + inv_golden * w
+    x = exp(p)
+    y = x + c
+    f_p = (y - 1.0 - log(y)) / x
+    x = exp(q)
+    y = x + c
+    f_q = (y - 1.0 - log(y)) / x
+    while w > _LOG_WIDTH:
         if f_p <= f_q:
             d, q, f_q = q, p, f_p
-            p = d - _INV_GOLDEN * (d - a)
-            f_p = objective(p)
+            w = d - a
+            p = d - inv_golden * w
+            x = exp(p)
+            y = x + c
+            f_p = (y - 1.0 - log(y)) / x
         else:
             a, p, f_p = p, q, f_q
-            q = a + _INV_GOLDEN * (d - a)
-            f_q = objective(q)
-    u_star = 0.5 * (a + d)
+            w = d - a
+            q = a + inv_golden * w
+            x = exp(q)
+            y = x + c
+            f_q = (y - 1.0 - log(y)) / x
+    x = exp(0.5 * (a + d))
+    y = x + c
     # On the flat far side the objective can round above 1, while the true
     # infimum is below it; 1 is then the correctly rounded psi/nu.
-    psi = nu * min(objective(u_star), 1.0)
-    return ExponentResult(psi=psi, argmin_t=math.exp(u_star) / nu)
+    psi = nu * min((y - 1.0 - log(y)) / x, 1.0)
+    return ExponentResult(psi=psi, argmin_t=x / nu)
 
 
 def exponent_root(nu: float, b: float) -> float:

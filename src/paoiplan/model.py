@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +66,26 @@ def _freeze_sensor_vectors(instance, names: tuple[str, ...]) -> None:
         raise ValueError(f"{owner} requires at least one sensor")
     for name, vector in zip(names, vectors):
         object.__setattr__(instance, name, vector)
+
+
+class _kept:
+    """A method read as an attribute, computed on first use and then kept.
+
+    A non-data descriptor: the value is written into the instance
+    ``__dict__`` (past a frozen dataclass's ``__setattr__``), where later
+    reads find it before they reach the descriptor.  Unlike
+    ``functools.cached_property`` on Python 3.11 it takes no lock; two
+    threads that race on a first use both compute the same value.
+    """
+
+    def __init__(self, method) -> None:
+        self.method, self.name, self.__doc__ = method, method.__name__, method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
 
 
 def _value_eq(self, other) -> bool:
@@ -117,17 +136,17 @@ class Scenario:
         """
         return math.fsum((self.cost * np.asarray(b, dtype=float)).tolist())
 
-    @cached_property
+    @_kept
     def _min_share(self) -> np.ndarray:
         """``theta/mu``: below it a sensor's service rate does not exceed its exponent."""
         return self.theta / self.mu
 
-    @cached_property
+    @_kept
     def _weight(self) -> np.ndarray:
         """``cost/theta``: the headroom's slope at ``s = 0``, the closed form's weights."""
         return self.cost / self.theta
 
-    @cached_property
+    @_kept
     def _root_constants(self) -> tuple[np.ndarray, np.ndarray]:
         """The exact planner's ``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``."""
         return 4.0 * self.cost * self.mu / self.theta**2, self.theta / (2.0 * self.mu)

@@ -251,12 +251,15 @@ def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) 
         np.log1p(np.negative(times, out=times), out=times)
         times /= -nu
         kept = _peak_ages(times, b)[_WARMUP - 1:]
-        summary = PaoiSummary(count=int(kept.size), mean=float(kept.mean()), max=float(kept.max()))
-    if not (math.isfinite(summary.mean) and math.isfinite(summary.max)):
+        mean = float(kept.mean())
+    # An infinite or NaN age, or a sum past the floats, makes the mean
+    # non-finite, so a finite mean vouches for every age.  The fit sorts
+    # the top of kept in place, which leaves the maximum at its end.
+    if not math.isfinite(mean):
         raise ValueError(f"peak ages overflow the floats at nu={nu!r}, b={b!r}")
     points, exponent, stderr, fit_error = _fit_tail(kept, _FIT_LO_QUANTILE, _FIT_HI_QUANTILE)
     return TailEstimate(
-        paoi_samples_summary=summary,
+        paoi_samples_summary=PaoiSummary(count=int(kept.size), mean=mean, max=float(kept[-1])),
         ccdf_points=points,
         fitted_exponent=exponent,
         stderr=stderr,

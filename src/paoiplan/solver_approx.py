@@ -24,8 +24,14 @@ def solve_approx(scenario: Scenario) -> AllocationPlan:
     ``b_i = ln(1 + theta_i**2 * W / (cost_i * mu_i * slack)) / theta_i``.
     Shares sum to the budget by construction.  Offered for every feasible
     scenario regardless of size; accuracy is measured, not enforced.
+    Raises ValueError when every ``cost/theta`` underflows to 0 in floats.
     """
     slack = feasible_slack(scenario)
     weights = scenario._weight
-    headroom = weights * (slack / float(weights.sum()))
+    total = float(weights.sum())
+    if not total > 0.0:
+        raise ValueError(
+            "every cost/theta underflows to 0: the closed form has no weights to split the slack"
+        )
+    headroom = weights * (slack / total)
     return _plan_from_headroom(scenario, headroom, SolveMethod.APPROX)

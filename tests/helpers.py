@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from paoiplan import AllocationPlan, Scenario, SolveMethod
+from paoiplan import AllocationPlan, ExponentResult, Scenario, SolveMethod
 
 # One line per acceptance criterion, printed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -111,3 +112,37 @@ def frozen_solve_approx(scenario: Scenario) -> AllocationPlan:
     weights = scenario.cost / scenario.theta
     headroom = weights * (slack / float(np.sum(weights)))
     return _frozen_plan(scenario, headroom, SolveMethod.APPROX)
+
+
+# A frozen copy of the variational exponent as it stood before its search
+# was written as one flat loop: the objective is a closure called at every
+# probe.  The package's results must equal these bit for bit.
+
+_FROZEN_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def frozen_exponent_variational(nu: float, b: float) -> ExponentResult:
+    if nu * b <= 1.0:
+        return ExponentResult(psi=0.0, argmin_t=math.inf)
+    c = min(nu * b, math.log(sys.float_info.max))
+
+    def objective(u: float) -> float:
+        x = math.exp(u)
+        y = x + c
+        return (y - 1.0 - math.log(y)) / x
+
+    a, d = math.log(c - 1.0), c
+    p, q = d - _FROZEN_INV_GOLDEN * (d - a), a + _FROZEN_INV_GOLDEN * (d - a)
+    f_p, f_q = objective(p), objective(q)
+    while d - a > 1e-9:
+        if f_p <= f_q:
+            d, q, f_q = q, p, f_p
+            p = d - _FROZEN_INV_GOLDEN * (d - a)
+            f_p = objective(p)
+        else:
+            a, p, f_p = p, q, f_q
+            q = a + _FROZEN_INV_GOLDEN * (d - a)
+            f_q = objective(q)
+    u_star = 0.5 * (a + d)
+    psi = nu * min(objective(u_star), 1.0)
+    return ExponentResult(psi=psi, argmin_t=math.exp(u_star) / nu)

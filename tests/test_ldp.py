@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from paoiplan import exponent_root, exponent_variational
+from helpers import frozen_exponent_variational
+from paoiplan import exponent_root, exponent_variational, solve_exact
+from paoiplan.experiments import fig3_scenario
 from paoiplan.model import optimal_sampling_delay
 
 # Frozen from an independent dev-time bisection of ln(nu/(nu-theta)) = theta*b,
@@ -188,6 +190,49 @@ def test_minimizer_matches_the_root_identity(nu, b):
     theta = exponent_root(nu, b)
     expected = 1.0 / (nu - theta) - b
     assert exponent_variational(nu, b).argmin_t == pytest.approx(expected, rel=3e-7)
+
+
+def _assert_matches_frozen(nu: float, b: float) -> None:
+    result, frozen = exponent_variational(nu, b), frozen_exponent_variational(nu, b)
+    assert (result.psi.hex(), result.argmin_t.hex()) == (frozen.psi.hex(), frozen.argmin_t.hex())
+
+
+def _fig3_loads() -> list[float]:
+    # The loads nu*b of every sensor of two fig3 plans per size.
+    loads = []
+    for n in (4, 8):
+        for seed in (1, 2):
+            scenario = fig3_scenario(n, 100.0, seed)
+            plan = solve_exact(scenario)
+            loads += (scenario.mu * plan.r * plan.b).tolist()
+    return loads
+
+
+FROZEN_GRID_LOADS = [
+    1.0 + 2.0**-52, 1.0 + 1e-15, 1.0 + 1e-9, 1.5, 2.0, 5.0, *_fig3_loads(),
+    *np.linspace(37.0, 40.0, 7).tolist(), 700.0, 1e300, 1e308,
+]
+
+
+@pytest.mark.parametrize("nu", [1e-300, 1e-100, 1e-10, 0.37, 1.0, 3.0, 1e10, 1e100, 1e300])
+def test_variational_route_matches_the_frozen_search_on_a_grid(nu):
+    # The flat search makes the closure's probes in the same order and
+    # with the same expressions, so psi and argmin_t keep their bits.
+    for c in FROZEN_GRID_LOADS:
+        b = c / nu
+        if 0.0 < b < math.inf and nu * b < math.inf:
+            _assert_matches_frozen(nu, b)
+
+
+@settings(max_examples=300)
+@given(
+    nu=st.floats(1e-300, 1e300),
+    c=st.floats(1.0 + 2.0**-52, 1e308),
+)
+def test_variational_route_matches_the_frozen_search(nu, c):
+    b = c / nu
+    assume(0.0 < b < math.inf and nu * b < math.inf)
+    _assert_matches_frozen(nu, b)
 
 
 @pytest.mark.parametrize("nu,b", [

@@ -6,6 +6,7 @@ when every constant was recomputed at each use (the frozen copy in
 ``helpers``), bit for bit, and a path must evaluate no constant it does not
 use: the closed form and the feasibility test never form ``theta**2``.
 """
+import json
 import math
 import warnings
 
@@ -19,7 +20,7 @@ from helpers import (
     scenario_at_load,
 )
 from paoiplan import ConvergenceError, Scenario, check_feasibility, solve_approx, solve_exact
-from paoiplan.cli import _plan_json
+from paoiplan.cli import _plan_json, main
 from paoiplan.experiments import fig3_scenario
 from paoiplan.solver_exact import allocation_at_lambda, residual
 
@@ -105,6 +106,32 @@ def test_exact_planner_fails_cleanly_where_every_weight_underflows():
     scenario = Scenario.from_arrays(mu=(1e300, 1e300), cost=(1e-200, 1e-200), theta=(1e200, 1e200))
     with pytest.raises(ConvergenceError, match="stopped at s=0.0 "):
         solve_exact(scenario)
+
+
+def test_closed_form_fails_cleanly_where_every_weight_underflows(tmp_path, capsys):
+    # The scenario is feasible (load 2e-100), but the closed form's weights
+    # sum to 0, so it has no split of the slack to give.
+    sensor = {"mu": 1e300, "cost": 1e-200, "theta": 1e200}
+    message = "every cost/theta underflows to 0"
+    with pytest.raises(ValueError, match=message):
+        solve_approx(Scenario.from_arrays(mu=(1e300, 1e300), cost=(1e-200, 1e-200), theta=(1e200, 1e200)))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"sensors": [sensor] * 2}))
+    assert main(["approx", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
+
+def test_constants_are_kept_only_on_the_paths_that_use_them():
+    scenario = scenario_at_load(4, 0.9, np.random.default_rng(5))
+    solve_approx(scenario)
+    assert "_root_constants" not in vars(scenario)
+    assert {"_min_share", "_weight"} <= vars(scenario).keys()
+    assert scenario._weight is scenario._weight
+    solve_exact(scenario)
+    kept = scenario._root_constants
+    assert scenario._root_constants is kept and vars(scenario)["_root_constants"] is kept
 
 
 def test_feasibility_raises_no_warning_where_the_minimum_shares_underflow():
