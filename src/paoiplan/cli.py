@@ -6,10 +6,10 @@ float reprs of its columns, in the layout ``json.dumps(..., indent=2)`` gives
 its keys ``r``, ``b``, ``method``, ``total_cost`` and, for exact plans only,
 ``lambda``; every other result goes through ``json.dumps``.
 
-Exit codes: 0 success, 1 schema or argument error (for ``simulate`` also a
-plan that does not fit the scenario or leaves a queue unstable, for
-``solve`` and ``approx`` a plan that floats cannot represent),
-2 infeasibility, 3 numerical non-convergence.
+Exit codes: 0 success, 1 schema or argument error (for ``simulate``,
+``solve`` and ``approx`` also a plan that ``AllocationPlan.validate_for``
+refuses, and for ``solve`` and ``approx`` a plan that floats cannot
+represent), 2 infeasibility, 3 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -181,7 +181,10 @@ def _cmd_feasible(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    _emit(args.planner(load_scenario(args.scenario)), args.out)
+    scenario = load_scenario(args.scenario)
+    plan = args.planner(scenario)
+    plan.validate_for(scenario)  # the check simulate makes: no plan is written that it refuses
+    _emit(plan, args.out)
     return EXIT_OK
 
 

@@ -28,12 +28,22 @@ class FeasibilityReport:
 class InfeasibleScenarioError(ValueError):
     """The requested outage exponents exceed what the budget can support."""
 
-    def __init__(self, report: FeasibilityReport):
+    def __init__(self, report: FeasibilityReport, budget: float):
         self.report = report
         super().__init__(
             f"infeasible scenario: required load {report.load:.6g} is not strictly "
-            f"below budget {report.load + report.slack:.6g}"
+            f"below budget {budget:.6g}"
         )
+
+
+def _load_and_slack(scenario: Scenario) -> tuple[float, float]:
+    """The load ``fsum(theta/mu)`` and the slack ``budget - load``: feasible iff slack > 0.
+
+    ``slack > 0`` is ``load < budget`` in IEEE arithmetic: the difference of
+    two unequal floats never rounds to 0, and an infinite load gives -inf.
+    """
+    load = math.fsum(scenario._min_share.tolist())
+    return load, scenario.budget - load
 
 
 def feasible_slack(scenario: Scenario) -> float:
@@ -41,9 +51,9 @@ def feasible_slack(scenario: Scenario) -> float:
 
     The full report, with its ranking, is built only for the error.
     """
-    slack = scenario.budget - math.fsum(scenario._min_share.tolist())
+    slack = _load_and_slack(scenario)[1]
     if not slack > 0.0:
-        raise InfeasibleScenarioError(check_feasibility(scenario))
+        raise InfeasibleScenarioError(check_feasibility(scenario), scenario.budget)
     return slack
 
 
@@ -55,14 +65,7 @@ def check_feasibility(scenario: Scenario) -> FeasibilityReport:
     ``binding_sensors`` lists all sensor indices by descending
     ``theta_i / mu_i`` contribution (ties broken by index).
     """
-    contributions = scenario._min_share
-    load = math.fsum(contributions.tolist())
-    slack = scenario.budget - load
+    load, slack = _load_and_slack(scenario)
     # Stable sort of the negated contributions: tied sensors stay in index order.
-    order = np.argsort(-contributions, kind="stable").tolist()
-    return FeasibilityReport(
-        feasible=load < scenario.budget,
-        load=load,
-        slack=slack,
-        binding_sensors=tuple(order),
-    )
+    order = np.argsort(-scenario._min_share, kind="stable").tolist()
+    return FeasibilityReport(feasible=slack > 0.0, load=load, slack=slack, binding_sensors=tuple(order))

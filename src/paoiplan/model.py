@@ -143,8 +143,13 @@ class Scenario:
 
     @_kept
     def _weight(self) -> np.ndarray:
-        """``cost/theta``: the headroom's slope at ``s = 0``, the closed form's weights."""
-        return self.cost / self.theta
+        """``cost/theta``: the headroom's slope at ``s = 0``, the closed form's weights.
+
+        A weight past the floats is inf, with no warning: the closed form
+        then refuses its plan naming that sensor.
+        """
+        with np.errstate(over="ignore"):
+            return self.cost / self.theta
 
     @_kept
     def _root_constants(self) -> tuple[np.ndarray, np.ndarray]:
@@ -209,10 +214,13 @@ class AllocationPlan:
     def validate_for(self, scenario: Scenario) -> None:
         """Raise ValueError unless the plan is consistent with ``scenario``.
 
-        Checks the sensor count, strict service-rate dominance
-        (``mu_i * r_i > theta_i``), that the shares sum to at most
-        ``budget * (1 + 1e-9)``, and that ``total_cost`` is within 1e-9
-        relative of the recomputed cost-weighted delay sum.
+        The package's one plan check.  Checks, in this order, the sensor
+        count, strict service-rate dominance (``mu_i * r_i > theta_i``),
+        that the shares sum to at most ``budget * (1 + 1e-9)``, that
+        ``total_cost`` is within 1e-9 relative of the recomputed
+        cost-weighted delay sum, and that every queue is stable
+        (``mu_i * r_i * b_i > 1``).  A per-sensor failure names the first
+        failing sensor.
         """
         if self.n != scenario.n:
             raise ValueError(f"plan covers {self.n} sensors, scenario has {scenario.n}")
@@ -232,6 +240,11 @@ class AllocationPlan:
             raise ValueError(
                 f"total_cost {self.total_cost!r} does not match recomputed value {recomputed!r}"
             )
+        with np.errstate(over="ignore"):  # an overflowing nu*b is refused by simulate_sensor
+            unstable = np.flatnonzero(~(rates * self.b > 1.0))
+        if unstable.size:
+            i = int(unstable[0])
+            raise ValueError(f"sensor {i}: nu*b = {rates[i] * self.b[i]:.6g} <= 1, so its queue is unstable")
 
 
 def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=None) -> AllocationPlan:
@@ -240,10 +253,12 @@ def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=N
     The delay is ``optimal_sampling_delay(mu*r, theta)`` written in the
     headroom, ``log1p(theta/(mu*h))/theta``, so ``mu*r - theta`` never cancels.
     A headroom too small for floats (``mu*h`` underflows next to ``theta``)
-    gives an infinite delay, and ``theta/(mu*h)`` below the floats gives a
-    delay of 0.  ``AllocationPlan`` refuses both, blaming its own ``b``; the
-    refusal is raised again naming the sensor and the cause, so a plan that
-    passes costs no extra check.
+    gives an infinite delay, ``theta/(mu*h)`` below the floats gives a
+    delay of 0, and a NaN headroom (the closed form's ``inf * 0`` where a
+    weight ``cost/theta`` overflows) gives a NaN delay.  ``AllocationPlan``
+    refuses all three, blaming its own ``b``; the refusal is raised again
+    naming the first sensor whose delay is not a finite positive number,
+    and the cause, so a plan that passes costs no extra check.
     """
     mu, theta, min_share = scenario.mu, scenario.theta, scenario._min_share
     with np.errstate(divide="ignore", over="ignore"):
@@ -251,14 +266,16 @@ def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=N
     try:
         return AllocationPlan(min_share + headroom, delays, method, scenario.delay_cost(delays), lam)
     except ValueError:
-        unrepresentable = np.flatnonzero((delays == 0.0) | (delays == math.inf))
+        unrepresentable = np.flatnonzero(~((delays > 0.0) & (delays < math.inf)))
         if not unrepresentable.size:
             raise
         i = int(unrepresentable[0])
-        if delays[i]:
+        if delays[i] == math.inf:
             reason = "its headroom above theta/mu cannot be represented in floats"
-        else:
+        elif delays[i] == 0.0:
             reason = "its sampling delay underflows to 0 in floats"
+        else:
+            reason = "its headroom above theta/mu is not a number in floats"
         raise ValueError(f"sensor {i}: {reason}") from None
 
 

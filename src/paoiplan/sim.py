@@ -277,24 +277,18 @@ def simulate_plan(
     one of ``min(n, os.cpu_count())`` worker threads, which overlap while
     numpy runs without the interpreter lock.  Results are ordered by sensor
     index, deterministic per seed, and identical to simulating the sensors
-    one after another.  Raises ValueError as ``plan.validate_for`` does, or
-    naming the first sensor with ``mu_i * r_i * b_i <= 1``: its queue is
-    unstable.  An error in a sensor's simulation is raised unchanged, from
-    the lowest failing sensor.
+    one after another.  Raises ValueError as ``plan.validate_for`` does,
+    an unstable queue included.  An error in a sensor's simulation is
+    raised unchanged, from the lowest failing sensor.
     """
     # Deferred: concurrent.futures imports logging, which nothing else in a
     # fresh `import paoiplan` needs.
     from concurrent.futures import ThreadPoolExecutor
 
     plan.validate_for(scenario)
-    nu, b = scenario.mu * plan.r, plan.b
-    with np.errstate(over="ignore"):  # an overflowing nu*b is refused by simulate_sensor
-        unstable = np.flatnonzero(~(nu * b > 1.0))
-    if unstable.size:
-        i = int(unstable[0])
-        raise ValueError(f"sensor {i}: nu*b = {nu[i] * b[i]:.6g} <= 1, so its queue is unstable")
+    nu = scenario.mu * plan.r
     with ThreadPoolExecutor(max_workers=min(scenario.n, os.cpu_count() or 1)) as pool:
         return list(pool.map(
             lambda i, nu_i, b_i: simulate_sensor(nu_i, b_i, config, stream=i),
-            range(scenario.n), nu.tolist(), b.tolist(),
+            range(scenario.n), nu.tolist(), plan.b.tolist(),
         ))

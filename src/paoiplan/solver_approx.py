@@ -12,6 +12,10 @@ load 0.5, 2.4e-2 at 0.9, 8e-4 at 0.99 and 5e-12 at 1 - 1e-6, at 1e3 and
 """
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from .feasibility import feasible_slack
 from .model import AllocationPlan, Scenario, SolveMethod, _plan_from_headroom
 
@@ -33,5 +37,9 @@ def solve_approx(scenario: Scenario) -> AllocationPlan:
         raise ValueError(
             "every cost/theta underflows to 0: the closed form has no weights to split the slack"
         )
-    headroom = weights * (slack / total)
+    if total < math.inf:
+        headroom = weights * (slack / total)
+    else:  # an infinite weight's headroom, inf * 0, is NaN: the plan refuses it naming the sensor
+        with np.errstate(invalid="ignore"):
+            headroom = weights * 0.0
     return _plan_from_headroom(scenario, headroom, SolveMethod.APPROX)

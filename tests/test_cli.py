@@ -2,10 +2,11 @@ import json
 import math
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 import paoiplan.cli as cli
-from helpers import plan_to_dict
+from helpers import plan_to_dict, scenario_at_load
 from paoiplan import AllocationPlan, SolveMethod, solve_approx, solve_exact
 from paoiplan.experiments import fig2_sweep, fig3_sweep
 from paoiplan.solver_exact import ConvergenceError
@@ -74,6 +75,35 @@ class TestSolveCommand:
         ]})
         assert cli.main(["approx", scenario]) == 1
         _one_error_line(capsys.readouterr(), "sensor 0: its sampling delay underflows to 0 in floats")
+
+    def test_nan_headroom_exits_1_naming_its_sensor(self, scenario_file, capsys):
+        # Sensor 0's cost/theta overflows to inf, so the closed form's headroom
+        # there is inf * 0 = NaN and sensor 1's is 0.75/inf = 0: the NaN sensor
+        # is the first whose delay is not a finite positive number.
+        scenario = scenario_file({"sensors": [
+            {"mu": 1e300, "cost": 1e200, "theta": 1e-200}, {"mu": 1, "cost": 1, "theta": 0.25},
+        ]})
+        assert cli.main(["approx", scenario]) == 1
+        _one_error_line(capsys.readouterr(), "sensor 0: its headroom above theta/mu is not a number")
+        assert cli.main(["solve", scenario]) == 3
+        _one_error_line(capsys.readouterr(), "Newton on 1/lambda stopped at s=0.0")
+
+    def test_unstable_plan_exits_1_and_writes_no_file(self, scenario_file, tmp_path, capsys):
+        # theta**2 underflows; the closed form's r = 0.5 and b = 2 give nu*b = 1 exactly.
+        scenario = scenario_file({"sensors": [{"mu": 1, "cost": 1, "theta": 1e-160}] * 2})
+        out = tmp_path / "plan.json"
+        assert cli.main(["approx", scenario, "--out", str(out)]) == 1
+        _one_error_line(capsys.readouterr(), "sensor 0: nu*b = 1 <= 1, so its queue is unstable")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,theta,budget", [("solve", 1e16, 1), ("approx", 3e16, 3)])
+    def test_infeasible_error_names_the_budget(self, scenario_file, capsys, command, theta, budget):
+        # budget - load rounds to -1e16 and to 4 - 3e16, so load + slack would read 0 and 4.
+        scenario = scenario_file({"budget": budget, "sensors": [{"mu": 1, "cost": 1, "theta": theta}]})
+        assert cli.main([command, scenario]) == 2
+        _one_error_line(
+            capsys.readouterr(), f"required load {theta:.6g} is not strictly below budget {budget}"
+        )
 
     def test_convergence_error_exits_3(self, scenario_file, monkeypatch, capsys):
         def boom(scenario):
@@ -155,6 +185,31 @@ def _one_error_line(captured, name):
     assert captured.out == ""
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert name in lines[0], lines[0]
+
+
+def test_written_plans_pass_the_plan_check_next_to_the_boundary(tmp_path, capsys):
+    # At load 1 - 1e-15, theta/mu + h can round to theta/mu: such a plan
+    # is refused naming its sensor, and every plan written passes the check.
+    rng = np.random.default_rng(0)
+    scenario_path = tmp_path / "scenario.json"
+    outcomes = []
+    for draw in range(40):
+        scenario = scenario_at_load(10, 1.0 - 1e-15, rng)
+        scenario_path.write_text(json.dumps({"sensors": [
+            {"mu": m, "cost": c, "theta": t}
+            for m, c, t in zip(scenario.mu.tolist(), scenario.cost.tolist(), scenario.theta.tolist())
+        ]}))
+        for command in ("solve", "approx"):
+            out = tmp_path / f"{command}-{draw}.json"
+            rc = cli.main([command, str(scenario_path), "--out", str(out)])
+            captured = capsys.readouterr()
+            if rc == 0:
+                cli.load_plan(out).validate_for(scenario)
+            else:
+                assert rc == 1 and not out.exists()
+                _one_error_line(captured, "error: sensor ")
+            outcomes.append(rc)
+    assert set(outcomes) == {0, 1}
 
 
 @pytest.mark.parametrize("payload,name", [

@@ -170,6 +170,12 @@ class TestAllocationPlan:
         with pytest.raises(ValueError, match="total_cost"):
             wrong_cost.validate_for(scenario)
 
+        # Within the budget and above theta, but sensor 1's nu*b = 0.5 * 1.5 <= 1.
+        unstable = AllocationPlan(r=(0.5, 0.5), b=(4.0, 1.5), method=SolveMethod.EXACT,
+                                  total_cost=5.5)
+        with pytest.raises(ValueError, match="sensor 1: nu\\*b = 0.75 <= 1, so its queue is unstable"):
+            unstable.validate_for(scenario)
+
     def test_validate_for_caps_the_shares_relative_to_the_budget(self):
         # 500 times the exact shares of a 1e-12 budget sum to 5e-10, which an
         # absolute 1e-9 margin let through.  At 1e12 one ulp is 1.2e-4, far

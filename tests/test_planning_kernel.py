@@ -87,7 +87,8 @@ def test_closed_form_and_feasibility_raise_no_warning_where_theta_squared_underf
         plan = solve_approx(scenario)
     assert report.feasible and report.load == 2e-160 and report.slack == 1.0
     assert plan.r.tolist() == [0.5, 0.5] and plan.b.tolist() == [2.0, 2.0]
-    plan.validate_for(scenario)
+    with pytest.raises(ValueError, match="sensor 0: nu\\*b = 1 <= 1, so its queue is unstable"):
+        plan.validate_for(scenario)
 
 
 def test_exact_planner_still_fails_where_theta_squared_underflows():
