@@ -9,7 +9,9 @@ its keys ``r``, ``b``, ``method``, ``total_cost`` and, for exact plans only,
 Exit codes: 0 success, 1 schema or argument error (for ``simulate``,
 ``solve`` and ``approx`` also a plan that ``AllocationPlan.validate_for``
 refuses, and for ``solve`` and ``approx`` a plan that floats cannot
-represent), 2 infeasibility, 3 numerical non-convergence.
+represent), 2 infeasibility (a load past the floats included, which
+``feasible`` writes as a ``null`` load and slack), 3 numerical
+non-convergence.
 """
 from __future__ import annotations
 
@@ -176,7 +178,11 @@ def _write_csv(path, header, rows) -> None:
 
 def _cmd_feasible(args) -> int:
     report = check_feasibility(load_scenario(args.scenario))
-    _emit(asdict(report))
+    result = asdict(report)
+    for key in ("load", "slack"):  # a load past the floats: JSON has no infinity
+        if not math.isfinite(result[key]):
+            result[key] = None
+    _emit(result)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 

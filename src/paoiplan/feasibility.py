@@ -41,8 +41,13 @@ def _load_and_slack(scenario: Scenario) -> tuple[float, float]:
 
     ``slack > 0`` is ``load < budget`` in IEEE arithmetic: the difference of
     two unequal floats never rounds to 0, and an infinite load gives -inf.
+    Every ``theta/mu`` is positive, so a sum that passes the floats (fsum's
+    OverflowError) is a load above every finite budget: it is read as inf.
     """
-    load = math.fsum(scenario._min_share.tolist())
+    try:
+        load = math.fsum(scenario._min_share.tolist())
+    except OverflowError:
+        load = math.inf
     return load, scenario.budget - load
 
 

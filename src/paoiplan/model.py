@@ -30,7 +30,7 @@ _COST_RTOL = 1e-9  # validate_for: a total_cost written at 12 significant digits
 
 
 def _positive_vector(label: str, values) -> np.ndarray:
-    # np.array (not asarray) copies, so freezing the result never freezes the caller's array.
+    """One field as a float64 vector; ValueError naming ``label`` unless 1-D, finite and positive."""
     vector = np.array(values, dtype=float)
     if vector.ndim != 1:
         raise ValueError(f"{label} must be one-dimensional, got shape {vector.shape}")
@@ -38,7 +38,6 @@ def _positive_vector(label: str, values) -> np.ndarray:
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         raise ValueError(f"{label}[{i}] must be a finite positive number, got {float(vector[i])!r}")
-    vector.flags.writeable = False
     return vector
 
 
@@ -56,16 +55,35 @@ def _rate_and_delay(nu: float, b: float) -> tuple[float, float]:
 
 
 def _freeze_sensor_vectors(instance, names: tuple[str, ...]) -> None:
-    """Replace the named fields by validated read-only vectors, one entry per sensor."""
-    owner = type(instance).__name__
-    vectors = [_positive_vector(f"{owner}.{name}", getattr(instance, name)) for name in names]
-    lengths = [str(v.size) for v in vectors]
-    if len(set(lengths)) != 1:
-        raise ValueError(f"{', '.join(names)} must have equal lengths, got {', '.join(lengths)}")
-    if not vectors[0].size:
-        raise ValueError(f"{owner} requires at least one sensor")
-    for name, vector in zip(names, vectors):
-        object.__setattr__(instance, name, vector)
+    """Replace the named fields by the read-only rows of one validated float64 copy.
+
+    The fields are copied together into one ``(k, n)`` float64 block (a
+    copy, so freezing it never freezes or shares a caller's array), tested
+    once for finite positive entries and frozen once; each field becomes
+    one C-contiguous row.  An input the block refuses (one that does not
+    stack, is not k vectors, is empty or holds a bad entry) is refused as
+    the fields checked one by one word it: each field in field order, then
+    their lengths, then the sensor count.
+    """
+    values = [getattr(instance, name) for name in names]
+    try:
+        block = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        block = None
+    # NaN fails both comparisons; count_nonzero is the cheapest all() of a small mask.
+    if (block is None or block.ndim != 2 or not block.shape[1]
+            or np.count_nonzero((block > 0.0) & (block < math.inf)) < block.size):
+        owner = type(instance).__name__
+        vectors = [_positive_vector(f"{owner}.{name}", value) for name, value in zip(names, values)]
+        lengths = [str(v.size) for v in vectors]
+        if len(set(lengths)) != 1:
+            raise ValueError(f"{', '.join(names)} must have equal lengths, got {', '.join(lengths)}")
+        if not vectors[0].size:
+            raise ValueError(f"{owner} requires at least one sensor")
+        raise AssertionError(f"{owner}: vectors valid one by one were refused as a block")
+    block.flags.writeable = False
+    for name, row in zip(names, block):
+        object.__setattr__(instance, name, row)
 
 
 class _kept:
@@ -138,8 +156,13 @@ class Scenario:
 
     @_kept
     def _min_share(self) -> np.ndarray:
-        """``theta/mu``: below it a sensor's service rate does not exceed its exponent."""
-        return self.theta / self.mu
+        """``theta/mu``: below it a sensor's service rate does not exceed its exponent.
+
+        A share past the floats is inf, with no warning: the scenario's
+        load is then infinite and the feasibility test refuses it.
+        """
+        with np.errstate(over="ignore"):
+            return self.theta / self.mu
 
     @_kept
     def _weight(self) -> np.ndarray:

@@ -129,6 +129,29 @@ class TestFeasibleCommand:
         assert report["feasible"] is False
 
 
+# Loads past the floats: two theta/mu of 1e308 whose sum overflows fsum, and
+# one theta/mu of 1e600 that overflows the division itself.
+LOAD_PAST_THE_FLOATS = [
+    {"sensors": [{"mu": 1, "cost": 1, "theta": 1e308}] * 2},
+    {"sensors": [{"mu": 1e-300, "cost": 1, "theta": 1e300}, {"mu": 1, "cost": 1, "theta": 0.25}]},
+]
+
+
+@pytest.mark.parametrize("payload", LOAD_PAST_THE_FLOATS)
+class TestLoadPastTheFloats:
+    def test_feasible_exits_2_with_null_load_and_slack(self, scenario_file, capsys, payload):
+        assert cli.main(["feasible", scenario_file(payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = strict_loads(captured.out)
+        assert report == {"feasible": False, "load": None, "slack": None, "binding_sensors": [0, 1]}
+
+    @pytest.mark.parametrize("command", ["solve", "approx"])
+    def test_planners_exit_2_with_one_error_line(self, scenario_file, capsys, payload, command):
+        assert cli.main([command, scenario_file(payload)]) == 2
+        _one_error_line(capsys.readouterr(), "required load inf is not strictly below budget 1")
+
+
 class TestSchemaValidation:
     def test_unknown_top_level_key(self, scenario_file, capsys):
         rc = cli.main(["solve", scenario_file({**TWO_SYM, "extra": 1})])

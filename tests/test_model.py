@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from paoiplan import AllocationPlan, Scenario, SolveMethod, solve_exact
-from paoiplan.model import optimal_sampling_delay
+from paoiplan.model import _positive_vector, optimal_sampling_delay
 
 
 def _scenario(first, second):
@@ -207,6 +209,88 @@ class TestAllocationPlan:
         with_total_cost(rounded).validate_for(scenario)
         with pytest.raises(ValueError, match="does not match recomputed value"):
             with_total_cost(plan.total_cost * (1 + 1e-6)).validate_for(scenario)
+
+
+# Each array-backed type built from its sensor vectors alone, with the names
+# of the vectors in field order.
+SENSOR_VECTOR_TYPES = {
+    "Scenario": (lambda *vectors: Scenario(*vectors), ("mu", "cost", "theta")),
+    "AllocationPlan": (lambda *vectors: AllocationPlan(*vectors, SolveMethod.EXACT, 1.0), ("r", "b")),
+}
+
+
+@pytest.mark.parametrize("owner", SENSOR_VECTOR_TYPES)
+class TestSensorVectorRefusals:
+    """Inputs that do not form a valid block of sensor vectors, and their messages."""
+
+    def refuse(self, owner, first, second, rest, error, message):
+        build, names = SENSOR_VECTOR_TYPES[owner]
+        with pytest.raises(error, match=f"^{message}"):
+            build(first, second, *[rest] * (len(names) - 2))
+        return names
+
+    def test_unequal_lengths(self, owner):
+        names = SENSOR_VECTOR_TYPES[owner][1]
+        lengths = ", ".join(["2", "1"] + ["2"] * (len(names) - 2))
+        self.refuse(owner, [1, 1], [1], [0.5, 0.5], ValueError,
+                    re.escape(f"{', '.join(names)} must have equal lengths, got {lengths}") + "$")
+
+    def test_empty_vectors(self, owner):
+        self.refuse(owner, [], (), np.array([]), ValueError, f"{owner} requires at least one sensor$")
+
+    def test_bad_entry_in_the_first_field_wins_over_a_length_mismatch(self, owner):
+        first = SENSOR_VECTOR_TYPES[owner][1][0]
+        self.refuse(owner, [1, -1], [1], [0.5, 0.5], ValueError,
+                    re.escape(f"{owner}.{first}[1] must be a finite positive number, got -1.0") + "$")
+
+    def test_ragged_nested_input(self, owner):
+        self.refuse(owner, [[1, 2], [3]], [1, 1], [0.5, 0.5], ValueError,
+                    "setting an array element with a sequence")
+
+    def test_string_entry(self, owner):
+        self.refuse(owner, ["a", 1], [1, 1], [0.5, 0.5], ValueError,
+                    re.escape("could not convert string to float: 'a'") + "$")
+
+    def test_none_in_place_of_a_vector(self, owner):
+        first = SENSOR_VECTOR_TYPES[owner][1][0]
+        self.refuse(owner, None, [1, 1], [0.5, 0.5], ValueError,
+                    re.escape(f"{owner}.{first} must be one-dimensional, got shape ()") + "$")
+
+    def test_entry_that_is_not_a_number(self, owner):
+        self.refuse(owner, [{}, 1], [1, 1], [0.5, 0.5], TypeError,
+                    re.escape("float() argument must be a string or a real number, not 'dict'") + "$")
+
+
+def _sensor_vector_inputs(n):
+    """One field's n positive finite entries, as a list, tuple or numpy array of some dtype."""
+    python_floats = st.floats(min_value=5e-324, max_value=np.finfo(np.float64).max)
+    float32 = np.finfo(np.float32)
+    float32s = st.floats(min_value=float(float32.smallest_subnormal), max_value=float(float32.max), width=32)
+    counts = st.integers(min_value=1, max_value=2**63 - 1)
+    return st.one_of(
+        st.lists(python_floats, min_size=n, max_size=n),
+        st.lists(python_floats, min_size=n, max_size=n).map(tuple),
+        st.lists(python_floats, min_size=n, max_size=n).map(np.array),
+        st.lists(float32s, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float32)),
+        st.lists(counts, min_size=n, max_size=n).map(lambda v: [np.int64(x) for x in v]),
+        st.lists(counts, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+    )
+
+
+@given(data=st.data(), owner=st.sampled_from(sorted(SENSOR_VECTOR_TYPES)),
+       n=st.integers(min_value=1, max_value=12))
+def test_stored_rows_are_the_fields_validated_one_by_one(data, owner, n):
+    build, names = SENSOR_VECTOR_TYPES[owner]
+    inputs = [data.draw(_sensor_vector_inputs(n), label=name) for name in names]
+    built = build(*inputs)
+    for name, values in zip(names, inputs):
+        row = getattr(built, name)
+        expected = _positive_vector(name, values)
+        assert row.dtype == np.float64 and row.shape == (n,)
+        assert row.tobytes() == expected.tobytes()
+        assert not row.flags.writeable and row.flags.c_contiguous
+        if isinstance(values, np.ndarray):
+            assert not np.shares_memory(row, values) and values.flags.writeable
 
 
 class TestOptimalSamplingDelay:
