@@ -36,7 +36,8 @@ EXIT_INFEASIBLE = 2
 EXIT_NONCONVERGED = 3
 
 _SCENARIO_KEYS = {"budget", "sensors"}
-_SENSOR_KEYS = {"mu", "cost", "theta"}
+_SENSOR_COLUMNS = ("mu", "cost", "theta")
+_SENSOR_KEYS = set(_SENSOR_COLUMNS)
 _PLAN_KEYS = {"r", "b", "method", "total_cost", "lambda"}
 
 
@@ -97,19 +98,28 @@ def _build(where: str, factory, *args):
         raise CliError(f"{where}: {exc}") from exc
 
 
+def _sensor_columns(sensors: list) -> list:
+    """The sensor entries' mu, cost and theta columns; CliError names the first bad entry."""
+    # A dict of three keys that include mu, cost and theta has exactly those
+    # keys, so a valid file costs a type pass, a length pass and the reads.
+    if {dict}.issuperset(map(type, sensors)) and {3}.issuperset(map(len, sensors)):
+        try:
+            return [[entry[k] for entry in sensors] for k in _SENSOR_COLUMNS]
+        except KeyError:
+            pass
+    for index, entry in enumerate(sensors):
+        _check_object(entry, f"sensors[{index}]", _SENSOR_KEYS, _SENSOR_KEYS)
+    raise AssertionError("sensor entries valid one by one were refused as columns")
+
+
 def load_scenario(path) -> Scenario:
     """Read a scenario file; CliError names a bad key, ``sensors[i].k`` or ``Scenario.mu[i]``."""
     data = _read_object(path, "scenario", _SCENARIO_KEYS, {"sensors"})
     sensors = data["sensors"]
     if not isinstance(sensors, list) or not sensors:
         raise CliError(f"scenario file {path} needs a nonempty 'sensors' array")
-    for index, entry in enumerate(sensors):
-        # One key-view compare per valid entry; the full diagnosis runs only on a mismatch.
-        if type(entry) is not dict or entry.keys() != _SENSOR_KEYS:
-            _check_object(entry, f"sensors[{index}]", _SENSOR_KEYS, _SENSOR_KEYS)
-    mu, cost, theta = (
-        _numbers([entry[k] for entry in sensors], "sensors[{}]." + k) for k in ("mu", "cost", "theta")
-    )
+    columns = zip(_SENSOR_COLUMNS, _sensor_columns(sensors))
+    mu, cost, theta = (_numbers(column, "sensors[{}]." + key) for key, column in columns)
     budget = _number(data.get("budget", 1.0), "budget")
     return _build(f"scenario file {path}", Scenario.from_arrays, mu, cost, theta, budget)
 

@@ -4,10 +4,12 @@ A scenario admits a valid allocation iff the total required load
 ``sum(theta_i / mu_i)`` is strictly below the budget: each sensor needs at
 least ``theta_i / mu_i`` of the resource before its service rate exceeds
 its exponent, and strictly more to leave the tail constraint satisfiable.
+The load and the slack ``budget - load`` are summed once per scenario and
+kept in its planning kernel (``Scenario._load_and_slack``), so the test
+and both planners' gate read the same two floats.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,27 +38,12 @@ class InfeasibleScenarioError(ValueError):
         )
 
 
-def _load_and_slack(scenario: Scenario) -> tuple[float, float]:
-    """The load ``fsum(theta/mu)`` and the slack ``budget - load``: feasible iff slack > 0.
-
-    ``slack > 0`` is ``load < budget`` in IEEE arithmetic: the difference of
-    two unequal floats never rounds to 0, and an infinite load gives -inf.
-    Every ``theta/mu`` is positive, so a sum that passes the floats (fsum's
-    OverflowError) is a load above every finite budget: it is read as inf.
-    """
-    try:
-        load = math.fsum(scenario._min_share.tolist())
-    except OverflowError:
-        load = math.inf
-    return load, scenario.budget - load
-
-
 def feasible_slack(scenario: Scenario) -> float:
     """Budget minus load, the planners' gate; InfeasibleScenarioError unless it is > 0.
 
     The full report, with its ranking, is built only for the error.
     """
-    slack = _load_and_slack(scenario)[1]
+    slack = scenario._load_and_slack[1]
     if not slack > 0.0:
         raise InfeasibleScenarioError(check_feasibility(scenario), scenario.budget)
     return slack
@@ -70,7 +57,7 @@ def check_feasibility(scenario: Scenario) -> FeasibilityReport:
     ``binding_sensors`` lists all sensor indices by descending
     ``theta_i / mu_i`` contribution (ties broken by index).
     """
-    load, slack = _load_and_slack(scenario)
+    load, slack = scenario._load_and_slack
     # Stable sort of the negated contributions: tied sensors stay in index order.
     order = np.argsort(-scenario._min_share, kind="stable").tolist()
     return FeasibilityReport(feasible=slack > 0.0, load=load, slack=slack, binding_sensors=tuple(order))

@@ -7,14 +7,16 @@ the service rate scales linearly with the resource share ``r``.  A
 planners build their plan through ``_plan_from_headroom``, which puts each
 delay at the tight point of its tail constraint.
 
-A scenario also carries the planning kernel: the per-sensor constants that
-the feasibility test and both planners share, each computed from ``mu``,
-``cost`` and ``theta`` on first use and then kept.  They are the minimum
-shares ``theta/mu``, the closed form's weights ``cost/theta``, and, for the
-exact planner only, ``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``, from
-which ``Scenario._headroom`` gives the headroom above the minimum shares
-and its slope at ``s = 1/lam``.  Nothing is evaluated before a path needs
-it, so the feasibility test and the closed form never form ``theta**2``.
+A scenario also carries the planning kernel: the per-sensor constants and
+per-scenario sums that the feasibility test and both planners share, each
+computed from ``mu``, ``cost``, ``theta`` and ``budget`` on first use and
+then kept.  They are the minimum shares ``theta/mu``, the load
+``fsum(theta/mu)`` and the slack ``budget - load``, the closed form's
+weights ``cost/theta`` and their total, and, for the exact planner only,
+``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``, from which
+``Scenario._headroom`` gives the headroom above the minimum shares and its
+slope at ``s = 1/lam``.  Nothing is evaluated before a path needs it, so
+the feasibility test and the closed form never form ``theta**2``.
 """
 from __future__ import annotations
 
@@ -37,7 +39,11 @@ def _positive_vector(label: str, values) -> np.ndarray:
     ok = np.isfinite(vector) & (vector > 0.0)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
-        raise ValueError(f"{label}[{i}] must be a finite positive number, got {float(vector[i])!r}")
+        got = float(vector[i])
+        # None converts to NaN: name the None the caller passed, not the NaN.
+        if math.isnan(got) and isinstance(values, (list, tuple, np.ndarray)) and values[i] is None:
+            got = None
+        raise ValueError(f"{label}[{i}] must be a finite positive number, got {got!r}")
     return vector
 
 
@@ -175,6 +181,26 @@ class Scenario:
             return self.cost / self.theta
 
     @_kept
+    def _weight_total(self) -> float:
+        """``sum(cost/theta)``: the closed form's divisor and Newton's first slope."""
+        return float(self._weight.sum())
+
+    @_kept
+    def _load_and_slack(self) -> tuple[float, float]:
+        """The load ``fsum(theta/mu)`` and the slack ``budget - load``: feasible iff slack > 0.
+
+        ``slack > 0`` is ``load < budget`` in IEEE arithmetic: the difference of
+        two unequal floats never rounds to 0, and an infinite load gives -inf.
+        Every ``theta/mu`` is positive, so a sum that passes the floats (fsum's
+        OverflowError) is a load above every finite budget: it is read as inf.
+        """
+        try:
+            load = math.fsum(self._min_share.tolist())
+        except OverflowError:
+            load = math.inf
+        return load, self.budget - load
+
+    @_kept
     def _root_constants(self) -> tuple[np.ndarray, np.ndarray]:
         """The exact planner's ``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``."""
         return 4.0 * self.cost * self.mu / self.theta**2, self.theta / (2.0 * self.mu)
@@ -226,7 +252,8 @@ class AllocationPlan:
                 raise ValueError(f"AllocationPlan.lam must be finite and positive, got {self.lam!r}")
             object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "total_cost", total)
-        object.__setattr__(self, "method", SolveMethod(self.method))
+        if not isinstance(self.method, SolveMethod):
+            object.__setattr__(self, "method", SolveMethod(self.method))
 
     __eq__ = _value_eq
 

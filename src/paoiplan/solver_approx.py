@@ -31,8 +31,7 @@ def solve_approx(scenario: Scenario) -> AllocationPlan:
     Raises ValueError when every ``cost/theta`` underflows to 0 in floats.
     """
     slack = feasible_slack(scenario)
-    weights = scenario._weight
-    total = float(weights.sum())
+    weights, total = scenario._weight, scenario._weight_total
     if not total > 0.0:
         raise ValueError(
             "every cost/theta underflows to 0: the closed form has no weights to split the slack"

@@ -15,8 +15,12 @@ Every headroom comes from the scenario's planning kernel (see ``model``):
 ``q = 4*cost*mu/theta**2``, ``theta/(2*mu)`` and ``cost/theta`` are
 computed once per scenario, not at each Newton step, so a step costs one
 log1p, one expm1 and a few products per sensor.  The Newton steps ask for
-the headroom and its slope; the plan, at ``1/lam``, and
-``allocation_at_lambda`` ask for the headroom alone.
+the headroom and its slope; ``allocation_at_lambda`` asks for the headroom
+alone.  The plan is built from the headroom at ``1/lam``, where ``lam =
+1/s`` for Newton's last iterate ``s``.  Where ``1/lam`` rounds back to
+``s`` (about 87% of the fig3 scenarios), that is the headroom Newton's last
+step evaluated, and it is reused; elsewhere it is evaluated once more at
+``1/lam``.
 """
 from __future__ import annotations
 
@@ -53,7 +57,7 @@ def residual(scenario: Scenario, lam: float) -> float:
     return float(math.fsum(allocation_at_lambda(scenario, lam).tolist()) - scenario.budget)
 
 
-def _find_multiplier(scenario: Scenario, slack: float) -> float:
+def _find_multiplier(scenario: Scenario, slack: float) -> tuple[float, float, np.ndarray]:
     # Solve g(s) = slack, where g(s) is the total headroom.  The tangent of
     # the concave g lies above it, so each Newton step lands at or below the
     # root; in floats the iterates stop rising once they reach it.  The step
@@ -61,12 +65,13 @@ def _find_multiplier(scenario: Scenario, slack: float) -> float:
     # the headroom at 0 gives those same bits wherever q is finite.  A slope
     # sum that is not positive (every slope underflowing to 0, or an
     # infinite headroom's) ends the search instead of dividing by it.
-    s, gap, slope_sum = 0.0, slack, float(scenario._weight.sum())
+    # Returns lam = 1/s with the last s and the headroom evaluated there.
+    s, gap, slope_sum = 0.0, slack, scenario._weight_total
     for _ in range(_MAX_NEWTON_STEPS):
         next_s = s + gap / slope_sum if slope_sum > 0.0 else math.nan
         if not next_s > s:
             if s > 0.0 and math.isfinite(next_s):
-                return 1.0 / s
+                return 1.0 / s, s, headroom
             break
         s = next_s
         headroom, slope = scenario._headroom(s, with_slope=True)
@@ -85,5 +90,7 @@ def solve_exact(scenario: Scenario) -> AllocationPlan:
     no allocation can dominate every exponent, ConvergenceError when a
     Newton step leaves the finite floats or the step cap is reached.
     """
-    lam = _find_multiplier(scenario, feasible_slack(scenario))
-    return _plan_from_headroom(scenario, scenario._headroom(1.0 / lam), SolveMethod.EXACT, lam)
+    lam, s, headroom = _find_multiplier(scenario, feasible_slack(scenario))
+    if 1.0 / lam != s:  # 1/(1/s) rounds away from s: the plan is at 1/lam, not at s
+        headroom = scenario._headroom(1.0 / lam)
+    return _plan_from_headroom(scenario, headroom, SolveMethod.EXACT, lam)

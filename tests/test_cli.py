@@ -252,6 +252,11 @@ def test_written_plans_pass_the_plan_check_next_to_the_boundary(tmp_path, capsys
     (_sensors(1, cost=-1), "Scenario.cost[1]"),
     (_sensors(1, theta=HUGE), "Scenario.theta[1]"),
     ({**TWO_SYM, "budget": HUGE}, "Scenario.budget"),
+    # Three keys, one of them unknown: the first such entry is named, also
+    # ahead of a later entry that is not an object.
+    ({"sensors": [TWO_SYM["sensors"][0], {"mu": 1, "cost": 1, "label": "a"}]},
+     "sensors[1] has unknown keys: ['label']"),
+    ({"sensors": [{"mu": 1, "cost": 1, "label": "a"}, 1.0]}, "sensors[0] has unknown keys: ['label']"),
 ])
 def test_scenario_schema_errors_name_the_field(scenario_file, capsys, payload, name):
     assert cli.main(["solve", scenario_file(payload)]) == 1

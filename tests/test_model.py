@@ -256,6 +256,19 @@ class TestSensorVectorRefusals:
         self.refuse(owner, None, [1, 1], [0.5, 0.5], ValueError,
                     re.escape(f"{owner}.{first} must be one-dimensional, got shape ()") + "$")
 
+    @pytest.mark.parametrize("second", [[None, 1], (1, None), np.array([None, 1], dtype=object)])
+    def test_none_entry_is_named_as_none(self, owner, second):
+        # None converts to NaN; the refusal names the value the caller passed.
+        second_name = SENSOR_VECTOR_TYPES[owner][1][1]
+        i = next(index for index, value in enumerate(second) if value is None)
+        self.refuse(owner, [1, 1], second, [0.5, 0.5], ValueError,
+                    re.escape(f"{owner}.{second_name}[{i}] must be a finite positive number, got None") + "$")
+
+    def test_nan_entry_is_still_named_as_nan(self, owner):
+        first = SENSOR_VECTOR_TYPES[owner][1][0]
+        self.refuse(owner, [1, math.nan], [1, 1], [0.5, 0.5], ValueError,
+                    re.escape(f"{owner}.{first}[1] must be a finite positive number, got nan") + "$")
+
     def test_entry_that_is_not_a_number(self, owner):
         self.refuse(owner, [{}, 1], [1, 1], [0.5, 0.5], TypeError,
                     re.escape("float() argument must be a string or a real number, not 'dict'") + "$")

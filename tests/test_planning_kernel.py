@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import helpers
 from helpers import (
     frozen_headroom,
     frozen_solve_approx,
@@ -22,7 +23,8 @@ from helpers import (
 from paoiplan import ConvergenceError, Scenario, check_feasibility, solve_approx, solve_exact
 from paoiplan.cli import _plan_json, main
 from paoiplan.experiments import fig3_scenario
-from paoiplan.solver_exact import allocation_at_lambda, residual
+from paoiplan.feasibility import feasible_slack
+from paoiplan.solver_exact import _find_multiplier, allocation_at_lambda, residual
 
 LOADS = (0.2, 0.5, 0.9, 0.99, 1.0 - 1e-6)
 
@@ -37,12 +39,14 @@ def _assert_same_bits(plan, frozen) -> None:
         assert plan.lam.hex() == frozen.lam.hex()
 
 
-def _assert_plans_match_frozen(scenario: Scenario) -> None:
-    frozen_exact, frozen_approx = frozen_solve_exact(scenario), frozen_solve_approx(scenario)
-    # Twice each: the second solve reads the constants the first one kept.
+def _assert_plans_match_frozen(scenario: Scenario, calls=(solve_exact, solve_approx)) -> None:
+    frozen = {solve_exact: frozen_solve_exact(scenario), solve_approx: frozen_solve_approx(scenario)}
+    # Twice each: the second round reads the constants the first one kept.
     for _ in range(2):
-        _assert_same_bits(solve_exact(scenario), frozen_exact)
-        _assert_same_bits(solve_approx(scenario), frozen_approx)
+        for call in calls:
+            result = call(scenario)
+            if call in frozen:
+                _assert_same_bits(result, frozen[call])
 
 
 @pytest.mark.parametrize("c_max", [10.0, 100.0])
@@ -66,6 +70,17 @@ def test_random_plans_match_the_frozen_planners(n, load):
     assert allocation_at_lambda(scenario, lam).tobytes() == shares.tobytes()
     frozen_residual = float(math.fsum(shares.tolist()) - scenario.budget)
     assert residual(scenario, lam).hex() == frozen_residual.hex()
+
+
+@pytest.mark.parametrize("calls", [(solve_approx, solve_exact), (check_feasibility, solve_exact, solve_approx)],
+                         ids=["approx_first", "feasibility_first"])
+@pytest.mark.parametrize("load", LOADS)
+@pytest.mark.parametrize("n", [2, 10, 1000, 20_000])
+def test_random_plans_match_the_frozen_planners_in_any_call_order(n, load, calls):
+    # The exact planner first is the test above; here the closed form or the
+    # feasibility test computes the load, the slack and the weight total.
+    rng = np.random.default_rng([n, int(load * 1e6)])
+    _assert_plans_match_frozen(scenario_at_load(n, load, rng), calls)
 
 
 def test_plan_file_bytes_match_the_frozen_planners():
@@ -145,3 +160,53 @@ def test_feasibility_raises_no_warning_where_the_minimum_shares_underflow():
         with pytest.raises(ValueError, match="sensor 0: its sampling delay underflows to 0"):
             solve_approx(scenario)
     assert report.feasible and report.load == 0.25
+
+
+def _fig3_seed(n: int, rep: int) -> int:
+    return int(np.random.SeedSequence((2024, n, rep)).generate_state(1, np.uint64)[0])
+
+
+@pytest.mark.parametrize("rep, reused", [(0, True), (7, False)])
+def test_exact_plan_reuses_newtons_last_headroom_where_1_over_lam_is_s(monkeypatch, rep, reused):
+    # Newton returns lam = 1/s.  Where 1/lam rounds back to s, the plan is
+    # built from the headroom Newton's last step evaluated at s; elsewhere it
+    # is evaluated again at 1/lam.  The frozen solver also evaluates the
+    # headroom at s = 0, where the package starts from the closed form.
+    scenario = fig3_scenario(4, 10.0, _fig3_seed(4, rep))
+    lam, s, _ = _find_multiplier(scenario, feasible_slack(scenario))
+    assert (1.0 / lam == s) is reused
+    counts = {"package": 0, "frozen": 0}
+    package_headroom, frozen = Scenario._headroom, helpers.frozen_headroom
+
+    def package_counted(self, s, with_slope=False):
+        counts["package"] += 1
+        return package_headroom(self, s, with_slope)
+
+    def frozen_counted(scenario, s):
+        counts["frozen"] += 1
+        return frozen(scenario, s)
+
+    monkeypatch.setattr(Scenario, "_headroom", package_counted)
+    monkeypatch.setattr(helpers, "frozen_headroom", frozen_counted)
+    _assert_same_bits(solve_exact(scenario), frozen_solve_exact(scenario))
+    assert counts["package"] == counts["frozen"] - (2 if reused else 1)
+
+
+def test_load_slack_and_weight_total_are_computed_once(monkeypatch):
+    calls = {"_load_and_slack": 0, "_weight_total": 0}
+    for name in calls:
+        kept = vars(Scenario)[name]
+
+        def counted(scenario, method=kept.method, name=name):
+            calls[name] += 1
+            return method(scenario)
+
+        monkeypatch.setattr(kept, "method", counted)
+    scenario = scenario_at_load(8, 0.9, np.random.default_rng(3))
+    check_feasibility(scenario)
+    solve_approx(scenario)
+    assert "_root_constants" not in vars(scenario)
+    solve_exact(scenario)
+    solve_approx(scenario)
+    assert {"_load_and_slack", "_weight_total"} <= vars(scenario).keys()
+    assert calls == {"_load_and_slack": 1, "_weight_total": 1}

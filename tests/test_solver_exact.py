@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 
 from helpers import grid_min_cost_two_sensor, random_feasible_scenario, scenario_at_load
 from paoiplan import ConvergenceError, InfeasibleScenarioError, Scenario, SolveMethod, solve_exact
-from paoiplan.solver_exact import allocation_at_lambda, residual
+from paoiplan.cli import EXIT_NONCONVERGED, main
+from paoiplan.solver_exact import _MAX_NEWTON_STEPS, allocation_at_lambda, residual
 
 SYMMETRIC = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.25))
 
@@ -137,6 +140,40 @@ class TestSolveExact:
         scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(1e-200, 0.5))
         with pytest.raises(ConvergenceError):
             solve_exact(scenario)
+
+    def test_newton_stops_at_its_step_cap(self, monkeypatch):
+        # Feasible at load 0.2, but theta**2 overflows, so q = 4*cost*mu/theta**2
+        # is 0: every headroom and the gap stay put, and s climbs by
+        # slack/sum(cost/theta) at each step until the cap ends the search.
+        evaluations = []
+        headroom = Scenario._headroom
+
+        def counted(self, s, with_slope=False):
+            evaluations.append(s)
+            return headroom(self, s, with_slope)
+
+        monkeypatch.setattr(Scenario, "_headroom", counted)
+        scenario = Scenario.from_arrays(mu=(1e300, 1e300), cost=(1, 1), theta=(1e299, 1e299))
+        with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
+            with pytest.raises(ConvergenceError, match=re.escape("stopped at s=4.0000000000000056e+300 ")):
+                solve_exact(scenario)
+        assert len(evaluations) == _MAX_NEWTON_STEPS
+
+    def test_step_cap_exits_3_with_the_error_as_the_last_line(self, tmp_path, capsys):
+        # The overflow warning from the exact planner's constants is printed
+        # ahead of that line outside pytest; it is left to the robustness work
+        # on numpy warnings (ROADMAP direction 6).
+        sensor = {"mu": 1e300, "cost": 1.0, "theta": 1e299}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"budget": 1.0, "sensors": [sensor, sensor]}))
+        with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
+            assert main(["solve", str(path)]) == EXIT_NONCONVERGED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "error: Newton on 1/lambda stopped at s=4.0000000000000056e+300 "
+            "without meeting the budget slack 0.8"
+        )
 
     def test_large_system_meets_kkt_tolerances(self):
         scenario = scenario_at_load(100_000, 0.99, np.random.default_rng(2024))
