@@ -1,10 +1,11 @@
 """Command-line front end: scenario I/O, planning, analysis, and sweeps.
 
 Every command's JSON result goes out through ``_emit`` as 2-space indented
-JSON.  A plan (``solve``, ``approx``) is written by ``_plan_json`` from the
-float reprs of its columns, in the layout ``json.dumps(..., indent=2)`` gives
-its keys ``r``, ``b``, ``method``, ``total_cost`` and, for exact plans only,
-``lambda``; every other result goes through ``json.dumps``.
+JSON.  A plan (``solve``, ``approx``) is written by ``_plan_json`` in the
+bytes ``json.dumps(..., indent=2)`` gives its keys ``r``, ``b``, ``method``,
+``total_cost`` and, for exact plans only, ``lambda``: its ``r`` and ``b``
+columns go through ``_floatrepr.join_reprs``, a numpy kernel that writes
+each float as its ``repr``, and every other result through ``json.dumps``.
 
 Exit codes: 0 success, 1 schema or argument error (for ``simulate``,
 ``solve`` and ``approx`` also a plan that ``AllocationPlan.validate_for``
@@ -22,6 +23,7 @@ import math
 import sys
 from dataclasses import asdict, astuple, fields
 
+from ._floatrepr import join_reprs
 from .experiments import FIG3_DEFAULT_N_VALUES, CostGapRow, TradeoffRow, fig2_sweep, fig3_sweep
 from .feasibility import InfeasibleScenarioError, check_feasibility
 from .ldp import exponent_root, exponent_variational
@@ -148,14 +150,15 @@ def load_plan(path) -> AllocationPlan:
 def _plan_json(plan: AllocationPlan) -> str:
     """The plan's JSON text, as ``json.dumps(..., indent=2)`` writes its fields.
 
-    JSON writes a finite float as its ``repr``, and a plan holds finite
-    floats only (no NaN, infinity or empty column reaches it), so joining
-    the reprs of the columns gives the same bytes at a fraction of the time
-    of the encoder, which ``indent`` keeps in pure Python.
+    JSON writes a finite float as its ``repr``.  A plan's ``r`` and ``b`` are
+    nonempty columns of finite positive floats, so ``join_reprs`` writes
+    them, byte for byte the joined reprs, in a few numpy passes per column
+    rather than one ``float.__repr__`` call per value; ``total_cost`` and
+    ``lambda`` are single reprs.
     """
     text = [
-        '{\n  "r": [\n    ', ",\n    ".join(map(repr, plan.r.tolist())),
-        '\n  ],\n  "b": [\n    ', ",\n    ".join(map(repr, plan.b.tolist())),
+        '{\n  "r": [\n    ', join_reprs(plan.r, ",\n    "),
+        '\n  ],\n  "b": [\n    ', join_reprs(plan.b, ",\n    "),
         f'\n  ],\n  "method": "{plan.method.value}",\n  "total_cost": {plan.total_cost!r}',
     ]
     if plan.lam is not None:

@@ -68,15 +68,23 @@ def fig2_sweep() -> list[TradeoffRow]:
     return rows
 
 
+def _check_seed(seed: int) -> None:
+    # SeedSequence refuses a negative seed without naming it.
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+
+
 def fig3_scenario(n: int, c_max: float, seed: int) -> Scenario:
     """Randomized unit-rate scenario of size ``n`` for the cost-gap study.
 
     Exponents ramp in steps of 0.01 around a center value of ``0.5/n`` at
     sensor ``n/2``; costs are drawn uniformly from [1, c_max].  Raises
     ValueError when ``n`` is not a positive even integer, when ``c_max`` is
-    below 1 or not finite, or when the ramp drives an exponent to or below
-    zero (which happens once ``0.5/n <= 0.01*(n/2 - 1)``).
+    below 1 or not finite, when ``seed`` is negative, or when the ramp
+    drives an exponent to or below zero (which happens once
+    ``0.5/n <= 0.01*(n/2 - 1)``).
     """
+    _check_seed(seed)
     if not (isinstance(n, (int, np.integer)) and n > 0 and n % 2 == 0):
         raise ValueError(f"n must be a positive even integer, got {n!r}")
     if not 1.0 <= c_max < math.inf:
@@ -104,8 +112,10 @@ def fig3_sweep(n_values, c_max: float, replications: int, seed: int) -> list[Cos
 
     Each (size, replication) pair gets an independent substream derived
     from ``seed``, so results are deterministic and independent of the
-    order of ``n_values``.
+    order of ``n_values``.  Raises ValueError on a negative ``seed``, and
+    as ``fig3_scenario`` does.
     """
+    _check_seed(seed)
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications!r}")
     rows = []

@@ -202,8 +202,14 @@ class Scenario:
 
     @_kept
     def _root_constants(self) -> tuple[np.ndarray, np.ndarray]:
-        """The exact planner's ``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``."""
-        return 4.0 * self.cost * self.mu / self.theta**2, self.theta / (2.0 * self.mu)
+        """The exact planner's ``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``.
+
+        A ``q`` past the floats (``theta**2`` overflowing to inf or
+        underflowing to 0) comes out 0 or inf with no warning: the root-find
+        then stops and names where.
+        """
+        with np.errstate(over="ignore", divide="ignore"):
+            return 4.0 * self.cost * self.mu / self.theta**2, self.theta / (2.0 * self.mu)
 
     def _headroom(self, s: float, with_slope: bool = False):
         """Per-sensor share above ``theta/mu`` at ``s = 1/lam``, and its slope in ``s`` if asked.

@@ -64,12 +64,13 @@ def _find_multiplier(scenario: Scenario, slack: float) -> tuple[float, float, np
     # from s = 0 takes g = 0 and the slope sum(cost/theta) from the kernel:
     # the headroom at 0 gives those same bits wherever q is finite.  A slope
     # sum that is not positive (every slope underflowing to 0, or an
-    # infinite headroom's) ends the search instead of dividing by it.
+    # infinite headroom's) ends the search instead of dividing by it, and
+    # a step past the floats ends it before the headroom is evaluated there.
     # Returns lam = 1/s with the last s and the headroom evaluated there.
     s, gap, slope_sum = 0.0, slack, scenario._weight_total
     for _ in range(_MAX_NEWTON_STEPS):
         next_s = s + gap / slope_sum if slope_sum > 0.0 else math.nan
-        if not next_s > s:
+        if not (s < next_s < math.inf):
             if s > 0.0 and math.isfinite(next_s):
                 return 1.0 / s, s, headroom
             break

@@ -152,6 +152,22 @@ class TestLoadPastTheFloats:
         _one_error_line(capsys.readouterr(), "required load inf is not strictly below budget 1")
 
 
+NEWTON_PAST_THE_FLOATS = [  # feasible, but q or a Newton step leaves the floats
+    ({"budget": 1.0, "sensors": [{"mu": 1, "cost": 1, "theta": 1e-160}] * 2}, "s=5e-161 "),
+    ({"budget": 1.0, "sensors": [{"mu": 1e300, "cost": 1, "theta": 1e299}] * 2}, "s=4.0000000000000056e+300 "),
+    ({"budget": 1e300, "sensors": [{"mu": 1, "cost": 1, "theta": 1e299}] * 2}, "s=0.0 "),
+]
+
+
+@pytest.mark.parametrize("payload,where", NEWTON_PAST_THE_FLOATS)
+def test_solve_exits_3_with_one_error_line_where_newton_leaves_the_floats(
+    scenario_file, capsys, payload, where
+):
+    # Warnings are errors under pytest, so a numpy warning fails this test.
+    assert cli.main(["solve", scenario_file(payload)]) == 3
+    _one_error_line(capsys.readouterr(), f"Newton on 1/lambda stopped at {where}")
+
+
 class TestSchemaValidation:
     def test_unknown_top_level_key(self, scenario_file, capsys):
         rc = cli.main(["solve", scenario_file({**TWO_SYM, "extra": 1})])
@@ -472,6 +488,12 @@ class TestSweepCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "c_max" in captured.err
+        assert not out.exists()
+
+    def test_fig3_negative_seed_exits_1_naming_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        assert cli.main(["fig3", "--n", "4", "--seed", "-1", "--out", str(out)]) == 1
+        _one_error_line(capsys.readouterr(), "seed must be non-negative, got -1")
         assert not out.exists()
 
     def test_fig3_default_sizes_hit_the_generation_limit(self, tmp_path, capsys):

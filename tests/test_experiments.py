@@ -48,6 +48,10 @@ class TestFig3Scenario:
         with pytest.raises(ValueError, match="c_max"):
             fig3_scenario(4, math.inf, seed=99)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            fig3_scenario(4, 10.0, seed=-1)
+
     def test_deterministic_per_seed(self):
         assert fig3_scenario(4, 10.0, seed=5) == fig3_scenario(4, 10.0, seed=5)
         first = fig3_scenario(4, 10.0, seed=5)
@@ -63,6 +67,10 @@ class TestFig3Sweep:
     def test_rejects_zero_replications(self):
         with pytest.raises(ValueError, match="replications"):
             fig3_sweep([4], 10.0, 0, seed=1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            fig3_sweep([4], 10.0, 2, seed=-1)
 
     def test_deterministic_per_seed(self):
         assert fig3_sweep([4], 10.0, 20, seed=3) == fig3_sweep([4], 10.0, 20, seed=3)

@@ -112,7 +112,7 @@ def test_exact_planner_still_fails_where_theta_squared_underflows():
     # infinite and its slope 0, and stops there; the closed form plans
     # this scenario, and a scale-symmetric kernel would let the exact
     # planner plan it too.
-    with pytest.warns(RuntimeWarning), pytest.raises(ConvergenceError, match="stopped at s=5e-161 "):
+    with pytest.raises(ConvergenceError, match="stopped at s=5e-161 "):
         solve_exact(_tiny_exponents())
 
 

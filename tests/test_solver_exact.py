@@ -134,7 +134,6 @@ class TestSolveExact:
         assert math.fsum(plan.r) == pytest.approx(2.0, abs=1e-9)
         assert plan.total_cost < solve_exact(SYMMETRIC).total_cost  # more budget, cheaper plan
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_unrepresentable_multiplier_raises_convergence_error(self):
         # theta = 1e-200 overflows 4*cost*mu/theta**2 to inf: no finite Newton step exists.
         scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(1e-200, 0.5))
@@ -154,20 +153,15 @@ class TestSolveExact:
 
         monkeypatch.setattr(Scenario, "_headroom", counted)
         scenario = Scenario.from_arrays(mu=(1e300, 1e300), cost=(1, 1), theta=(1e299, 1e299))
-        with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
-            with pytest.raises(ConvergenceError, match=re.escape("stopped at s=4.0000000000000056e+300 ")):
-                solve_exact(scenario)
+        with pytest.raises(ConvergenceError, match=re.escape("stopped at s=4.0000000000000056e+300 ")):
+            solve_exact(scenario)
         assert len(evaluations) == _MAX_NEWTON_STEPS
 
     def test_step_cap_exits_3_with_the_error_as_the_last_line(self, tmp_path, capsys):
-        # The overflow warning from the exact planner's constants is printed
-        # ahead of that line outside pytest; it is left to the robustness work
-        # on numpy warnings (ROADMAP direction 6).
         sensor = {"mu": 1e300, "cost": 1.0, "theta": 1e299}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"budget": 1.0, "sensors": [sensor, sensor]}))
-        with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
-            assert main(["solve", str(path)]) == EXIT_NONCONVERGED
+        assert main(["solve", str(path)]) == EXIT_NONCONVERGED
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines()[-1] == (
