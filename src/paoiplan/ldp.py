@@ -38,6 +38,7 @@ class ExponentResult:
     ``c = 5``, 2e-6 at 10, 2e-4 at 20 and 3% at 30.  Past ``c`` of about 37
     the value is meaningless (1.19e16 at ``c = 40``, against the true
     minimizer near ``e^40 = 2.35e17``).  ``psi`` is unaffected.
+    ``paoiplan exponent`` prints it only up to ``c = 20`` and null past it.
     """
 
     psi: float

@@ -4,30 +4,35 @@ Each sensor is simulated as a periodically sampled FCFS single-server
 queue: samples are taken every ``b`` time units and queue for transmission,
 service times are i.i.d. exponential.  The peak age recorded at each
 delivery is the delivery time minus the previous sample's generation time.
-The queue runs as Lindley's recursion on the waiting time, evaluated a
-fixed-size block at a time with numpy prefix sums and prefix minima.  The
-first 10 000 draws are a warm-up whose peaks are discarded.  The empirical
-complementary CDF of the kept peaks is fitted on a log scale between their
-0.90 and 0.999 quantiles, and the negated slope estimates the decay
-exponent that the planner promised.
+The queue runs as Lindley's recursion on the waiting time, evaluated as a
+two-level prefix scan (prefix sums, then prefix minima) over chunks of
+16 x 8192 samples.  The service times are i.i.d., so serving the
+customers in any fixed order gives an equally valid queue: a chunk is a
+C-contiguous (16, 8192) array served column by column, which makes each
+level of the scan one numpy call per row.  The first 10 000 draws are a
+warm-up, served as their own (16, 625) chunk, whose peaks are discarded.
+The empirical complementary CDF of the kept peaks is fitted on a log scale
+between their 0.90 and 0.999 quantiles, and the negated slope estimates
+the decay exponent that the planner promised.
 
 A plan's sensors run concurrently, one thread per CPU up to the number of
 sensors, each on its own random substream, so the results are identical to
 simulating them in sensor order.  Threads overlap only while numpy runs
 without the interpreter lock, and each numpy call takes the lock back, so
-the recursion's blocks are 16384 samples long: with 4096-sample blocks a
-1M-sample sensor makes about 1 700 calls, and two threads running it
-spent more time passing the lock than they saved.  A sensor holds one
-array of samples, in a private anonymous memory map released when it
-finishes: the peak ages are written over the draws, and the fit
-partitions them once and sorts the top tenth in place, so peak memory is
-about 8 bytes * (num_samples + 10 000) per sensor running at once.  The
-map is rounded up to whole 2 MiB pages, so that Linux aligns it for
-transparent huge pages, and the whole pages the samples fill are advised
-MADV_HUGEPAGE: 1.01M samples then fault in as 3 huge pages and about 440
-small ones rather than 1 970 small ones.
-The partly filled last page is not advised and the rest is never
-touched, so no memory is used that the samples do not need.
+the scan keeps its calls few: about 40 array calls a chunk, about 360 for
+a 1M-sample sensor with its warm-up.  (A loop over 4096-sample blocks made
+about 1 700, and two threads running it spent more time passing the lock
+than they saved.)  A sensor holds one array of samples, in a private
+anonymous memory map released when it finishes: the peak ages are written
+over the draws, the scan's prefix minima take one chunk of scratch
+(1 MiB), and the fit partitions the ages once and sorts the top tenth in
+place, so peak memory is about 8 bytes * (num_samples + 10 000) + 1 MiB
+per sensor running at once.  The map is rounded up to whole 2 MiB pages,
+so that Linux aligns it for transparent huge pages, and the whole pages
+the samples fill are advised MADV_HUGEPAGE: 1.01M samples then fault in as
+3 huge pages and about 440 small ones rather than 1 970 small ones.  The
+partly filled last page is not advised and the rest is never touched, so
+no memory is used that the samples do not need.
 """
 from __future__ import annotations
 
@@ -45,7 +50,8 @@ _FIT_LO_QUANTILE = 0.90
 _FIT_HI_QUANTILE = 0.999
 _FIT_GRID_POINTS = 50
 _MIN_FIT_POINTS = 10
-_LINDLEY_BLOCK = 16384
+_CHUNK_ROWS = 16
+_CHUNK_COLUMNS = 8192
 _HUGE_PAGE = 2 << 20  # bytes in a transparent huge page on x86-64 Linux
 
 
@@ -98,41 +104,67 @@ class TailEstimate:
     ccdf_points: tuple[tuple[float, float], ...]
 
 
-def _peak_ages(times: np.ndarray, b: float) -> np.ndarray:
-    # Consumes times: the peak ages are written over the service times, and
-    # the result is the view times[:-1].  Delivery recursion
-    # D_j = max(D_{j-1}, S_j) + T_j with S_j = (j-1)*b and an empty start.
-    # The waiting time u_j = max(D_{j-1} - S_j, 0) obeys Lindley's
-    # u_j = max(u_{j-1} + T_{j-1} - b, 0) with u_1 = 0, which a block solves
-    # as u = S - min(0, cummin S) for S the prefix sums of the increments
-    # seeded with the backlog v = u + T carried in.  Restarting the sums
-    # every block keeps them O(block), so at 16384 samples the ages stay
-    # within about 3e-12 relative of the scalar recursion.  The prefix
-    # minimum runs from min(first sum, 0), which makes it min(0, cummin S)
-    # without a pass of its own (min is exact), and goes over the
-    # increments, which the sums no longer need.  It is np.fmin's, about a
-    # quarter faster per block than np.minimum's and the same bits: the two
-    # differ only at NaN, and once a block's sums are NaN they stay NaN, so
-    # waits - floor is NaN either way; a -0.0 floor is absorbed when T is
-    # added.  The peak age is
-    # A_j = D_j - S_{j-1} = v_j + b.  A block reads times[start - 1:stop]
-    # before it writes times[start - 1:stop - 1], and the carry is its own
-    # last backlog, so no service time is read after it is overwritten.
-    carry = times[0]
-    for start in range(1, times.size, _LINDLEY_BLOCK):
-        stop = min(start + _LINDLEY_BLOCK, times.size)
-        steps = times[start - 1:stop - 1] - b
-        steps[0] = carry - b
-        waits = np.cumsum(steps)
-        first = waits[0]
-        waits[0] = min(first, 0.0)
-        floor = np.fmin.accumulate(waits, out=steps)
-        waits[0] = first
-        waits -= floor
-        backlog = np.add(waits, times[start:stop], out=waits)
-        carry = backlog[-1]
-        np.add(backlog, b, out=times[start - 1:stop - 1])
-    return times[:-1]
+def _peak_ages(times: np.ndarray, b: float, wait: float = 0.0) -> float:
+    # Writes each customer's peak age over its service time, in place, and
+    # returns the wait of the customer after the last; ``wait`` is the first
+    # customer's.  The draws are i.i.d., so any fixed order of customers is
+    # an equally valid queue.  times is taken a chunk at a time as a
+    # C-contiguous (rows, columns) array, and customer s*rows + i of a chunk
+    # is its element [i, s]: a chunk is served column by column.  Chunks are
+    # 16 x 8192 while at least that many samples are left, then
+    # (16, left // 16), then one row of the 1 to 15 samples after that.
+    #
+    # Lindley's u_{j+1} = max(u_j + T_j - b, 0) gives the peak age
+    # A_j = u_j + T_j + b = Q_j - min(0, Q_0, ..., Q_{j-1}) + 2b, for Q the
+    # inclusive prefix sums of T - b seeded with the wait carried in, and
+    # the next chunk's wait Q_last - min(0, Q_0, ..., Q_last).  A chunk
+    # forms Q and the exclusive prefix minimum as a two-level scan
+    # (Blelloch 1990): one vector call per row for the sums down every
+    # column, one cumsum over the column totals for each column's offset,
+    # and the same two levels with np.fmin for the minimum.  That is about
+    # 40 array calls a chunk, about 360 for a 1M-sample sensor with its
+    # warm-up (730 at 16 x 4096, whose chunks were also slower).  The sums
+    # restart every chunk, so they stay O(chunk): over a million samples
+    # the ages stayed within 1.7e-11 relative of the scalar recursion for
+    # nu*b from 1.05 to 4.  Carrying the wait in the sums, not as the
+    # minimum's seed, makes a NaN carried in turn every later Q NaN.  Once
+    # Q is NaN it stays NaN, so np.fmin, which skips NaN, gives the bits of
+    # np.minimum (slower to accumulate): each peak past a NaN is NaN either
+    # way, and a -0.0 minimum is absorbed when 2b is added.  The sums are
+    # formed over the draws, and the minimum in one chunk of scratch.
+    rows, columns = _CHUNK_ROWS, _CHUNK_COLUMNS
+    scratch = np.empty(min(times.size, rows * columns))
+    offsets_buffer, floor_buffer = np.empty(columns + 1), np.empty(columns + 1)
+    start = 0
+    while start < times.size:
+        height = rows if times.size - start >= rows else 1
+        width = min(columns, (times.size - start) // height)
+        stop = start + height * width
+        sums = times[start:stop].reshape(height, width)
+        low = scratch[:stop - start].reshape(height, width)
+        offsets, floor = offsets_buffer[:width + 1], floor_buffer[:width + 1]
+        np.subtract(sums, b, out=sums)
+        for i in range(1, height):
+            np.add(sums[i - 1], sums[i], out=sums[i])
+        offsets[0] = wait
+        offsets[1:] = sums[-1]
+        np.cumsum(offsets, out=offsets)
+        sums += offsets[:-1]
+        # low[i, s] becomes the minimum of 0 and every Q served before
+        # customer [i, s]: the earlier rows of its column, then the
+        # columns before it through floor.
+        low[0] = np.inf
+        for i in range(1, height):
+            np.fmin(low[i - 1], sums[i - 1], out=low[i])
+        floor[0] = 0.0
+        np.fmin(low[-1], sums[-1], out=floor[1:])
+        np.fmin.accumulate(floor, out=floor)
+        np.fmin(low, floor[:-1], out=low)
+        wait = float(offsets[-1] - floor[-1])
+        sums -= low
+        sums += 2.0 * b
+        start = stop
+    return wait
 
 
 def _quantile(upper: np.ndarray, k: int, q: float) -> float:
@@ -212,7 +244,13 @@ def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) 
     Draws ``_WARMUP + num_samples`` exponential(rate ``nu``) service times by
     inverse transform from a substream selected by ``(config.seed, stream)``,
     runs the FCFS delivery recursion, discards the warm-up peaks, and fits
-    the tail over the 0.90-0.999 quantile window.  Raises ValueError when
+    the tail over the 0.90-0.999 quantile window.  The customers are served
+    in chunk order, not draw order: the warm-up draws form one chunk and
+    the kept draws chunks of up to 16 x 8192, each read as a C-contiguous
+    ``(16, width)`` array whose customer ``s*16 + i`` is element ``[i, s]``
+    (a last row of 1 to 15 draws is served in order).  The service times
+    are i.i.d., so any fixed order of them is a sample path of the same
+    queue, and the estimate has the same distribution.  Raises ValueError when
     ``nu``, ``b`` or ``nu*b`` is not finite and positive, or when the peak
     ages or their mean overflow the floats.
     """
@@ -250,7 +288,11 @@ def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) 
         rng.random(out=times)
         np.log1p(np.negative(times, out=times), out=times)
         times /= -nu
-        kept = _peak_ages(times, b)[_WARMUP - 1:]
+        # The warm-up is its own (16, 625) chunk, so the kept peaks are
+        # the contiguous rest of the samples.
+        wait = _peak_ages(times[:_WARMUP], b)
+        kept = times[_WARMUP:]
+        _peak_ages(kept, b, wait)
         mean = float(kept.mean())
     # An infinite or NaN age, or a sum past the floats, makes the mean
     # non-finite, so a finite mean vouches for every age.  The fit sorts

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from paoiplan import AllocationPlan, ExponentResult, Scenario, SolveMethod
+from paoiplan import AllocationPlan, ExponentResult, Scenario, SolveMethod, sim
 
 # One line per acceptance criterion, printed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -48,6 +48,26 @@ def grid_min_cost_two_sensor(scenario: Scenario, step: float = 1e-5) -> float:
         + c2 / theta2 * np.log(mu2 * r2 / (mu2 * r2 - theta2))
     )
     return float(total.min())
+
+
+def customer_order(count: int) -> np.ndarray:
+    """Positions of ``count`` samples in the order ``sim._peak_ages`` serves them.
+
+    The samples are cut into chunks of ``sim._CHUNK_ROWS`` x
+    ``sim._CHUNK_COLUMNS`` while that many are left, then one chunk of
+    ``(rows, left // rows)``, then one row of the rest.  Each chunk is a
+    C-contiguous ``(height, width)`` array served column by column: its
+    customer ``s*height + i`` is element ``[i, s]``.  The constants are read
+    at each call, so a test may shrink the chunk.
+    """
+    rows, columns = sim._CHUNK_ROWS, sim._CHUNK_COLUMNS
+    chunks, start = [np.arange(0)], 0
+    while start < count:
+        height = rows if count - start >= rows else 1
+        width = min(columns, (count - start) // height)
+        chunks.append(start + np.arange(height * width).reshape(height, width).T.ravel())
+        start += height * width
+    return np.concatenate(chunks)
 
 
 def plan_to_dict(plan: AllocationPlan) -> dict:

@@ -7,7 +7,7 @@ import pytest
 
 import paoiplan.cli as cli
 from helpers import plan_to_dict, scenario_at_load
-from paoiplan import AllocationPlan, SolveMethod, solve_approx, solve_exact
+from paoiplan import AllocationPlan, SolveMethod, exponent_variational, solve_approx, solve_exact
 from paoiplan.experiments import fig2_sweep, fig3_sweep
 from paoiplan.solver_exact import ConvergenceError
 
@@ -313,6 +313,18 @@ class TestExponentCommand:
         payload = strict_loads(capsys.readouterr().out)
         assert payload["psi_variational"] == 0.0
         assert payload["argmin_t"] is None
+
+    @pytest.mark.parametrize("nu,b,printed", [
+        ("1", "20", True), ("0.5", "40", True), ("1", "20.000001", False), ("1", "30", False), ("1", "700", False),
+    ])
+    def test_argmin_t_is_null_past_its_error_bound(self, capsys, nu, b, printed):
+        # Printed up to c = nu*b = 20, where it measured within 4.3e-4 of the
+        # true minimizer; at c = 700 it would read 9.2e18 against about e^700.
+        assert cli.main(["exponent", "--nu", nu, "--b", b]) == 0
+        payload = strict_loads(capsys.readouterr().out)
+        expected = exponent_variational(float(nu), float(b))
+        assert payload["psi_variational"] == expected.psi
+        assert payload["argmin_t"] == (expected.argmin_t if printed else None)
 
     def test_nonpositive_rate_exits_1(self, capsys):
         assert cli.main(["exponent", "--nu", "0", "--b", "2"]) == 1

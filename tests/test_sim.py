@@ -25,44 +25,62 @@ from paoiplan import (
     solve_exact,
 )
 from paoiplan.sim import (
+    _CHUNK_COLUMNS,
+    _CHUNK_ROWS,
     _FIT_HI_QUANTILE,
     _FIT_LO_QUANTILE,
-    _LINDLEY_BLOCK,
     _WARMUP,
     _fit_tail,
     _peak_ages,
 )
 
+from helpers import customer_order
 
-def reference_peak_ages(service_times: list[float], b: float) -> list[float]:
-    # The scalar form of the delivery recursion: the backlog
-    # v_j = max(v_{j-1} - b, 0) + T_j and the peak age v_j + b.
+_CHUNK = _CHUNK_ROWS * _CHUNK_COLUMNS
+
+
+def reference_peak_ages(times: np.ndarray, b: float, wait: float = 0.0) -> tuple[np.ndarray, float]:
+    # The scalar form of the delivery recursion, run over the customers in
+    # the order _peak_ages serves them: the backlog v = u + T, the peak age
+    # v + b and the next wait max(v - b, 0).  Returns the ages at their
+    # samples' positions and the wait after the last customer.
+    order = customer_order(times.size)
     ages = []
-    v = service_times[0]
-    for t in service_times[1:]:
-        v = (v - b if v > b else 0.0) + t
+    u = wait
+    for t in times[order].tolist():
+        v = u + t
         ages.append(v + b)
-    return ages
+        u = v - b if v > b else 0.0
+    placed = np.empty(times.size)
+    placed[order] = ages
+    return placed, u
 
 
 def minimum_peak_ages(times: np.ndarray, b: float) -> np.ndarray:
-    # _peak_ages as it was with np.minimum.accumulate for the prefix minimum,
-    # kept to pin np.fmin.accumulate to the same bits.
-    carry = times[0]
-    for start in range(1, times.size, _LINDLEY_BLOCK):
-        stop = min(start + _LINDLEY_BLOCK, times.size)
-        steps = times[start - 1:stop - 1] - b
-        steps[0] = carry - b
-        waits = np.cumsum(steps)
-        first = waits[0]
-        waits[0] = min(first, 0.0)
-        floor = np.minimum.accumulate(waits, out=steps)
-        waits[0] = first
-        waits -= floor
-        backlog = np.add(waits, times[start:stop], out=waits)
-        carry = backlog[-1]
-        np.add(backlog, b, out=times[start - 1:stop - 1])
-    return times[:-1]
+    # _peak_ages with np.minimum and np.minimum.accumulate for the prefix
+    # minimum, kept to pin np.fmin to the same bits.
+    wait, start = 0.0, 0
+    while start < times.size:
+        height = _CHUNK_ROWS if times.size - start >= _CHUNK_ROWS else 1
+        width = min(_CHUNK_COLUMNS, (times.size - start) // height)
+        stop = start + height * width
+        sums = times[start:stop].reshape(height, width)
+        low = np.empty((height, width))
+        np.subtract(sums, b, out=sums)
+        for i in range(1, height):
+            np.add(sums[i - 1], sums[i], out=sums[i])
+        offsets = np.cumsum(np.concatenate(([wait], sums[-1])))
+        sums += offsets[:-1]
+        low[0] = np.inf
+        for i in range(1, height):
+            np.minimum(low[i - 1], sums[i - 1], out=low[i])
+        floor = np.minimum.accumulate(np.concatenate(([0.0], np.minimum(low[-1], sums[-1]))))
+        np.minimum(low, floor[:-1], out=low)
+        wait = float(offsets[-1] - floor[-1])
+        sums -= low
+        sums += 2.0 * b
+        start = stop
+    return times
 
 
 def reference_fit_tail(ages, lo_quantile, hi_quantile):
@@ -95,6 +113,21 @@ def reference_fit_tail(ages, lo_quantile, hi_quantile):
     dof = xs.size - 2
     stderr = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
     return points, -slope, stderr, None
+
+
+def time_scaled(estimate: TailEstimate, k: int) -> TailEstimate:
+    # The estimate with its peak ages scaled by 2**k and its exponent and
+    # stderr by 2**-k.
+    summary = estimate.paoi_samples_summary
+    return TailEstimate(
+        paoi_samples_summary=PaoiSummary(
+            count=summary.count, mean=math.ldexp(summary.mean, k), max=math.ldexp(summary.max, k)
+        ),
+        ccdf_points=tuple((math.ldexp(x, k), p) for x, p in estimate.ccdf_points),
+        fitted_exponent=math.ldexp(estimate.fitted_exponent, -k),
+        stderr=math.ldexp(estimate.stderr, -k),
+        fit_error=estimate.fit_error,
+    )
 
 
 def exponential_times(nu: float, count: int, seed: int) -> np.ndarray:
@@ -132,28 +165,41 @@ class TestSimConfig:
 
 class TestDeliveryRecursion:
     def test_no_queueing_case(self):
-        assert _peak_ages(np.array([0.5, 0.5]), 1.0).tolist() == [1.5]
+        times = np.array([0.5, 0.5])
+        assert _peak_ages(times, 1.0) == 0.0
+        assert times.tolist() == [1.5, 1.5]
 
     def test_queueing_case(self):
-        assert _peak_ages(np.array([1.5, 0.5]), 1.0).tolist() == [2.0]
+        times = np.array([1.5, 0.5])
+        assert _peak_ages(times, 1.0) == 0.0
+        assert times.tolist() == [2.5, 2.0]
 
     def test_longer_hand_computed_sequence(self):
-        # D: 0.5, 1.5, 4.5, 5.0, 6.5, 6.75 against samples at 0, 1, 2, 3, 4, 5.
-        ages = _peak_ages(np.array([0.5, 0.5, 2.5, 0.5, 1.5, 0.25]), 1.0)
-        assert ages.size == 5
-        assert ages.mean() == pytest.approx(np.mean([1.5, 3.5, 3.0, 3.5, 2.75]), abs=1e-15)
-        assert ages.max() == 3.5
+        # D: 0.5, 1.5, 4.5, 5.0, 6.5, 6.75 against samples at 0, 1, 2, 3, 4,
+        # 5; the first peak counts from a sample at -1, and the sample at 6
+        # waits 0.75.  A wait of 2 carried in delays the first deliveries.
+        times = np.array([0.5, 0.5, 2.5, 0.5, 1.5, 0.25])
+        carried = times.copy()
+        assert _peak_ages(times, 1.0) == 0.75
+        assert times.tolist() == [1.5, 1.5, 3.5, 3.0, 3.5, 2.75]
+        assert _peak_ages(carried, 1.0, 2.0) == 1.75
+        assert carried.tolist() == [3.5, 3.0, 4.5, 4.0, 4.5, 3.75]
 
     def test_warmup_discards_initial_peaks(self):
         # The estimate is the fit of the peaks after the warm-up draws; the
-        # queue state still carries over from the warm-up.
+        # queue's wait still carries over from the warm-up, which is served
+        # as its own chunk.
         nu, b, seed, stream = 1.3, 1.1, 5, 2
         for num_samples in (1000, 4097):
             config = SimConfig(num_samples=num_samples, seed=seed)
             estimate = simulate_sensor(nu, b, config, stream=stream)
             rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
             times = -np.log1p(-rng.random(_WARMUP + num_samples)) / nu
-            kept = _peak_ages(times, b)[_WARMUP - 1:]
+            _, wait = reference_peak_ages(times[:_WARMUP], b)
+            expected, _ = reference_peak_ages(times[_WARMUP:], b, wait)
+            kept = times[_WARMUP:]
+            _peak_ages(kept, b, _peak_ages(times[:_WARMUP], b))
+            np.testing.assert_allclose(kept, expected, rtol=1e-10, atol=0.0)
             assert estimate.paoi_samples_summary.count == kept.size == num_samples
             # The summary before the fit, which reorders kept.
             summary = PaoiSummary(count=num_samples, mean=float(kept.mean()), max=float(kept.max()))
@@ -167,12 +213,14 @@ class TestDeliveryRecursion:
             )
 
     def test_writes_the_ages_over_the_draws(self):
-        # One array of samples per sensor: the ages are the view times[:-1].
-        times = exponential_times(1.0, 3 * _LINDLEY_BLOCK + 7, seed=3)
-        expected = reference_peak_ages(times.tolist(), 2.0)
-        ages = _peak_ages(times, 2.0)
-        assert ages.size == times.size - 1 and np.shares_memory(ages, times)
-        np.testing.assert_allclose(ages, expected, rtol=1e-10, atol=0.0)
+        # One array of samples per sensor: each draw is overwritten by its
+        # customer's peak age, and the wait after the last is returned.  A
+        # full chunk, then a row of 7, from a wait carried in.
+        times = exponential_times(1.0, _CHUNK + 7, seed=3)
+        expected, expected_wait = reference_peak_ages(times, 2.0, 0.5)
+        wait = _peak_ages(times, 2.0, 0.5)
+        np.testing.assert_allclose(times, expected, rtol=1e-10, atol=0.0)
+        assert wait == pytest.approx(expected_wait, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("nu,b", [
         (1.0, math.inf), (math.inf, 2.0), (math.nan, 2.0), (1.0, math.nan), (1e300, 1e300),
@@ -185,42 +233,70 @@ class TestDeliveryRecursion:
 
 
 class TestBlockedRecursion:
-    # The blocked prefix-sum form adds the same increments in another order,
-    # so it may differ from the scalar loop by rounding in the O(block)
-    # prefix sums.  Over a million samples at 16384-sample blocks the
-    # largest relative difference measured 3.1e-12 at nu*b = 1.3, 2.2e-12
-    # at 2 and 1.6e-12 at 4 (1.2e-12, 6.3e-13 and 4.6e-13 at 4096), far
-    # inside 1e-10.
-    # The same offsets around a quarter block end the run inside its first
-    # block; around the block they put it at and across the block edges.
+    # The two-level scan adds the same increments in another order, so it
+    # may differ from the scalar loop by rounding in the O(chunk) prefix
+    # sums.  Over a million samples at 16 x 8192 chunks the largest relative
+    # difference measured 5.6e-12 at nu*b = 1.05, 6.9e-12 at 1.3, 9.5e-12
+    # at 2 and 1.7e-11 at 4, inside 1e-10.
+    # Counts below one chunk: a chunk of 16 rows, then a row of the 1 to 15
+    # samples left (15 at 4095 and 16383, 1 at 4097 and 16385, 7 at 12295
+    # and 49159), or a row alone (1, 15).
     @pytest.mark.parametrize("nu_b", [1.01, 2.0, 10.0])
-    @pytest.mark.parametrize("count", [
-        _LINDLEY_BLOCK // 4 - 1, _LINDLEY_BLOCK // 4, _LINDLEY_BLOCK // 4 + 1, 3 * _LINDLEY_BLOCK // 4 + 7,
-        _LINDLEY_BLOCK - 1, _LINDLEY_BLOCK, _LINDLEY_BLOCK + 1, 3 * _LINDLEY_BLOCK + 7,
-    ])
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 4095, 4096, 4097, 12295, 16383, 16384, 16385, 49159])
     def test_matches_scalar_loop_across_block_edges(self, count, nu_b):
-        times = exponential_times(1.0, count + 1, seed=count)
-        ages = _peak_ages(times.copy(), nu_b)
-        expected = np.array(reference_peak_ages(times.tolist(), nu_b))
-        assert ages.shape == expected.shape == (count,)
-        np.testing.assert_allclose(ages, expected, rtol=1e-10, atol=0.0)
+        times = exponential_times(1.0, count, seed=count)
+        expected, expected_wait = reference_peak_ages(times, nu_b)
+        wait = _peak_ages(times, nu_b)
+        np.testing.assert_allclose(times, expected, rtol=1e-10, atol=0.0)
+        assert wait == pytest.approx(expected_wait, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("nu_b", [1.3, 2.0, 4.0])
+    # The same code at 16 x 64 chunks, so the runs are short: one chunk less
+    # a sample, one, one and 1, 15, 16 or 17 samples, and three and 7.  The
+    # million samples below cross seven edges of the full-size chunk.
+    @pytest.mark.parametrize("nu_b", [1.01, 2.0, 10.0])
+    @pytest.mark.parametrize("chunks,extra", [(1, -1), (1, 0), (1, 1), (1, 15), (1, 16), (1, 17), (3, 7)])
+    def test_matches_scalar_loop_across_chunk_edges(self, monkeypatch, chunks, extra, nu_b):
+        monkeypatch.setattr(sim, "_CHUNK_COLUMNS", 64)
+        count = chunks * _CHUNK_ROWS * 64 + extra
+        times = exponential_times(1.0, count, seed=count)
+        expected, expected_wait = reference_peak_ages(times, nu_b)
+        wait = _peak_ages(times, nu_b)
+        np.testing.assert_allclose(times, expected, rtol=1e-10, atol=0.0)
+        assert wait == pytest.approx(expected_wait, rel=1e-10, abs=0.0)
+
+    # 1 000 001 samples: seven full chunks, a (16, 5156) chunk and a row of 1.
+    @pytest.mark.parametrize("nu_b", [1.05, 1.3, 2.0, 4.0])
     def test_matches_scalar_loop_over_a_million_samples(self, nu_b):
         times = exponential_times(1.0, 1_000_001, seed=11)
-        ages = _peak_ages(times.copy(), nu_b)
-        np.testing.assert_allclose(ages, reference_peak_ages(times.tolist(), nu_b), rtol=1e-10, atol=0.0)
+        expected, _ = reference_peak_ages(times, nu_b)
+        _peak_ages(times, nu_b)
+        np.testing.assert_allclose(times, expected, rtol=1e-10, atol=0.0)
 
-    @pytest.mark.parametrize("nan_at", [None, _LINDLEY_BLOCK + 100])
+    def test_matches_scalar_loop_in_heavy_traffic(self):
+        # At nu*b = 1.01 the scalar loop itself drifts: its backlog runs to
+        # hundreds over busy periods of thousands of customers, and each step
+        # rounds at that size.  On these draws it is 3.2e-10 off an 80-bit
+        # run of the same loop, where the scan is 1.6e-12 off.  Over the
+        # draws of seeds 1-8 the two differed by up to 3.1e-10 (1.5e-10 with
+        # the 16384-sample block loop); the bound is that, rounded up.
+        times = exponential_times(1.0, 1_000_001, seed=1)
+        expected, _ = reference_peak_ages(times, 1.01)
+        _peak_ages(times, 1.01)
+        np.testing.assert_allclose(times, expected, rtol=5e-10, atol=0.0)
+
+    @pytest.mark.parametrize("nan_at", [None, 2 * _CHUNK_COLUMNS + 100, _CHUNK + 100, 2 * _CHUNK - 1])
     @pytest.mark.parametrize("nu_b", [1.05, 1.3, 4.0])
     def test_fmin_prefix_minimum_gives_the_bits_of_minimum(self, nu_b, nan_at):
-        # Three whole blocks and a partial one; a NaN inside the second block
-        # is skipped by fmin where minimum propagates it.
-        times = exponential_times(1.0, 3 * _LINDLEY_BLOCK + 4322, seed=7)
+        # Three whole chunks, a short one and a row of 2.  A NaN inside a
+        # chunk (row 2 of the first, row 0 of the second) is skipped by fmin
+        # where minimum propagates it; one at the second chunk's last
+        # customer is carried into the third as its wait.
+        times = exponential_times(1.0, 3 * _CHUNK + 4322, seed=7)
         if nan_at is not None:
             times[nan_at] = math.nan
         expected = minimum_peak_ages(times.copy(), nu_b)
-        ages = _peak_ages(times.copy(), nu_b)
+        ages = times.copy()
+        _peak_ages(ages, nu_b)
         assert np.array_equal(ages.view(np.uint64), expected.view(np.uint64))
 
 
@@ -331,18 +407,23 @@ class TestTailEstimate:
         assert base.paoi_samples_summary != other.paoi_samples_summary
 
     def test_peaks_exceed_sampling_period(self):
-        # Every peak is at least one period plus one service time.
-        from paoiplan.sim import _peak_ages
-
+        # Every peak is at least one period plus one service time.  This
+        # queue (nu*b = 0.91) is unstable and waits at every sample after
+        # the first.  Where a queue empties, the scan's Q_j - min + 2b is
+        # T_j + b only up to the rounding of the chunk's sums, within the
+        # scalar loop comparisons' 1e-10.
         rng = np.random.default_rng(4)
         times = -np.log1p(-rng.random(20_000)) / 1.3
-        ages = _peak_ages(times.copy(), 0.7)
+        ages = times.copy()
+        _peak_ages(ages, 0.7)
         assert all(age > 0.7 for age in ages)
-        assert all(age >= t + 0.7 for age, t in zip(ages, times[1:]))
+        assert all(age >= t + 0.7 for age, t in zip(ages, times))
 
     def test_ccdf_matches_direct_counting(self):
-        ages = [1.5, 3.5, 3.0, 3.5, 2.75]
-        points = _fit_tail(_peak_ages(np.array([0.5, 0.5, 2.5, 0.5, 1.5, 0.25]), 1.0), 0.05, 0.95)[0]
+        ages = [1.5, 1.5, 3.5, 3.0, 3.5, 2.75]
+        times = np.array([0.5, 0.5, 2.5, 0.5, 1.5, 0.25])
+        _peak_ages(times, 1.0)
+        points = _fit_tail(times, 0.05, 0.95)[0]
         assert len(points) == 50
         for x, p in points:
             assert p == pytest.approx(np.mean(np.asarray(ages) >= x), abs=1e-15)
@@ -350,9 +431,12 @@ class TestTailEstimate:
         assert all(a >= b for a, b in zip(probabilities, probabilities[1:]))
 
     def test_ccdf_is_one_at_or_below_minimum_sample(self):
-        # Peaks 2, 2, 4, 3.5: the 0.2-quantile grid start sits on the
-        # duplicated minimum, where the empirical CCDF must be exactly 1.
-        points = _fit_tail(_peak_ages(np.array([1.0, 1.0, 1.0, 3.0, 0.5]), 1.0), 0.2, 0.95)[0]
+        # Peaks 2, 2, 2, 4, 3.5: the 0.2-quantile grid start sits on the
+        # repeated minimum, where the empirical CCDF must be exactly 1.
+        times = np.array([1.0, 1.0, 1.0, 3.0, 0.5])
+        _peak_ages(times, 1.0)
+        assert times.tolist() == [2.0, 2.0, 2.0, 4.0, 3.5]
+        points = _fit_tail(times, 0.2, 0.95)[0]
         x0, p0 = points[0]
         assert x0 == 2.0
         assert p0 == 1.0
@@ -374,19 +458,22 @@ class TestTailEstimate:
         config = SimConfig(num_samples=20_000)
         unit = simulate_sensor(1.0, 3.0, config)
         assert unit.fit_error is None
-        summary = unit.paoi_samples_summary
-        assert simulate_sensor(2.0**-k, 3.0 * 2.0**k, config) == TailEstimate(
-            paoi_samples_summary=PaoiSummary(
-                count=summary.count, mean=math.ldexp(summary.mean, k), max=math.ldexp(summary.max, k)
-            ),
-            ccdf_points=tuple((math.ldexp(x, k), p) for x, p in unit.ccdf_points),
-            fitted_exponent=math.ldexp(unit.fitted_exponent, -k),
-            stderr=math.ldexp(unit.stderr, -k),
-            fit_error=None,
-        )
+        assert simulate_sensor(2.0**-k, 3.0 * 2.0**k, config) == time_scaled(unit, k)
+
+    @pytest.mark.parametrize("k", [1, 3, -1])
+    @pytest.mark.parametrize("nu,b", [(1.0, 3.0), (0.7, 2.3), (2.5, 0.9), (1.3, 1.1), (0.35, 12.0)])
+    def test_time_scale_gives_the_scaled_estimate_bit_for_bit(self, nu, b, k):
+        # The time-scale symmetry at factors 2, 8 and 1/2: nu/2**k and
+        # b*2**k are exact, so are the draws divided by the rate, every sum
+        # and minimum of the scan and the fit, and the estimate is the
+        # queue's at (nu, b) with times scaled by 2**k.
+        config = SimConfig(num_samples=20_000, seed=3)
+        unit = simulate_sensor(nu, b, config)
+        assert unit.fit_error is None
+        assert simulate_sensor(nu * 2.0**-k, b * 2.0**k, config) == time_scaled(unit, k)
 
     def test_peak_ages_overflowing_the_floats_raise(self):
-        # The prefix sums of a block of draws near 1e305 overflow.
+        # The prefix sums of a chunk of draws near 1e305 overflow.
         with pytest.raises(ValueError, match="overflow the floats"):
             simulate_sensor(1e-305, 3e305, SimConfig(num_samples=20_000))
 
@@ -404,13 +491,15 @@ class TestDM1Oracle:
     # A sensor is a D/M/1 queue, so its stationary sojourn time is exactly
     # Exp(theta*) with theta* = exponent_root(nu, b) (GI/M/1, Kleinrock
     # Vol. 1, section 6.4), and the stationary peak age is b + Exp(theta*).
-    # Batch means over 100 batches of 10^4 consecutive peaks give the error
-    # bars; the peaks are correlated, so i.i.d. error bars would be too tight.
+    # Batch means over 100 batches of 10^4 consecutive peaks, in the order
+    # the customers are served, give the error bars; the peaks are
+    # correlated, so i.i.d. error bars would be too tight.
     @pytest.mark.parametrize("nu,b", [(1.0, 2.0), (1.0, 1.25), (2.0, 1.5)])
     def test_peak_age_is_b_plus_exponential(self, nu, b):
         warmup, count, batches = 10_000, 1_000_000, 100
         times = exponential_times(nu, warmup + count, seed=77)
-        ages = _peak_ages(times, b)[warmup - 1:].reshape(batches, -1)
+        _peak_ages(times[warmup:], b, _peak_ages(times[:warmup], b))
+        ages = times[warmup:][customer_order(count)].reshape(batches, -1)
         theta = exponent_root(nu, b)
 
         def z_score(per_batch, expected):
