@@ -205,10 +205,11 @@ class Scenario:
         """The exact planner's ``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``.
 
         A ``q`` past the floats (``theta**2`` overflowing to inf or
-        underflowing to 0) comes out 0 or inf with no warning: the root-find
-        then stops and names where.
+        underflowing to 0) comes out 0 or inf, and NaN where ``cost*mu``
+        overflows too (inf/inf), with no warning: the root-find then stops
+        and names where.
         """
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return 4.0 * self.cost * self.mu / self.theta**2, self.theta / (2.0 * self.mu)
 
     def _headroom(self, s: float, with_slope: bool = False):

@@ -22,23 +22,26 @@ without the interpreter lock, and each numpy call takes the lock back, so
 the scan keeps its calls few: about 40 array calls a chunk, about 360 for
 a 1M-sample sensor with its warm-up.  (A loop over 4096-sample blocks made
 about 1 700, and two threads running it spent more time passing the lock
-than they saved.)  A sensor holds one array of samples, in a private
-anonymous memory map released when it finishes: the peak ages are written
-over the draws, the scan's prefix minima take one chunk of scratch
-(1 MiB), and the fit partitions the ages once and sorts the top tenth in
-place, so peak memory is about 8 bytes * (num_samples + 10 000) + 1 MiB
-per sensor running at once.  The map is rounded up to whole 2 MiB pages,
-so that Linux aligns it for transparent huge pages, and the whole pages
-the samples fill are advised MADV_HUGEPAGE: 1.01M samples then fault in as
-3 huge pages and about 440 small ones rather than 1 970 small ones.  The
-partly filled last page is not advised and the rest is never touched, so
-no memory is used that the samples do not need.
+than they saved.)  A sensor's samples are one array in a private anonymous
+memory map: the peak ages are written over the draws, the scan's prefix
+minima take one chunk of scratch (1 MiB), and the fit partitions the ages
+once and sorts the top tenth in place.  ``simulate_plan`` gives each worker
+thread one map, made for its first sensor and reused for every later one,
+and releases the maps when it returns; ``simulate_sensor`` makes a map of
+its own.  Once the samples fill a 2 MiB page, the map is rounded up to
+whole 2 MiB pages, so that Linux aligns it for transparent huge pages, and
+all of it is advised MADV_HUGEPAGE: 1.01M samples then fault in as 4 huge
+pages rather than 1 970 small ones, once per worker.  A map below one
+page is the samples' size and not advised.  So peak memory is about
+8 bytes * (num_samples + 10 000), in whole 2 MiB pages from one page on,
+plus 1 MiB per worker.
 """
 from __future__ import annotations
 
 import math
 import mmap
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,50 +241,44 @@ def _fit_tail(
     return points, -slope / scale, stderr / scale, None
 
 
-def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) -> TailEstimate:
-    """Simulate one sensor and estimate its peak-age tail exponent.
-
-    Draws ``_WARMUP + num_samples`` exponential(rate ``nu``) service times by
-    inverse transform from a substream selected by ``(config.seed, stream)``,
-    runs the FCFS delivery recursion, discards the warm-up peaks, and fits
-    the tail over the 0.90-0.999 quantile window.  The customers are served
-    in chunk order, not draw order: the warm-up draws form one chunk and
-    the kept draws chunks of up to 16 x 8192, each read as a C-contiguous
-    ``(16, width)`` array whose customer ``s*16 + i`` is element ``[i, s]``
-    (a last row of 1 to 15 draws is served in order).  The service times
-    are i.i.d., so any fixed order of them is a sample path of the same
-    queue, and the estimate has the same distribution.  Raises ValueError when
-    ``nu``, ``b`` or ``nu*b`` is not finite and positive, or when the peak
-    ages or their mean overflow the floats.
-    """
-    nu, b = _rate_and_delay(nu, b)
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream)))
-    # The samples live in an anonymous memory map, returned to the system as
-    # soon as the sensor is done.  A malloc block this size can stay in the
-    # arena of the worker thread that freed it, and how many arenas a run
-    # touches depends on thread scheduling, so peak memory would vary by
-    # whole arrays between identical runs.  The map is private where mmap
-    # takes flags (not on Windows): mmap's default shared map is backed by
-    # shared memory, whose pages fault in slower than private ones.  Once
-    # the samples fill a 2 MiB page, a length of whole 2 MiB pages lets
-    # Linux align the map on one (an unrounded map was not aligned), and
-    # MADV_HUGEPAGE on the pages they fill makes each a single fault where
-    # transparent huge pages are set to madvise.  Advising the partly used
-    # last page too would fill all of it: more resident memory for no gain
-    # in time.  The advice is best effort, as the flags are.
-    count = _WARMUP + config.num_samples
-    huge = 8 * count // _HUGE_PAGE * _HUGE_PAGE
-    length = -(-8 * count // _HUGE_PAGE) * _HUGE_PAGE if huge else 8 * count
+def _sample_array(count: int) -> np.ndarray:
+    # An array of count float64 slots in an anonymous memory map of its own,
+    # returned to the system when the last array over it is gone.  A malloc
+    # block this size can stay in the arena of the worker thread that freed
+    # it, and how many arenas a run touches depends on thread scheduling, so
+    # peak memory would vary by whole arrays between identical runs.  The
+    # map is private where mmap takes flags (not on Windows): mmap's default
+    # shared map is backed by shared memory, whose pages fault in slower
+    # than private ones.  Once the samples fill a 2 MiB page, a length of
+    # whole 2 MiB pages lets Linux align the map on one (an unrounded map
+    # was not aligned), and MADV_HUGEPAGE on all of it makes each page a
+    # single fault where transparent huge pages are set to madvise.  The
+    # partly filled last page is advised too: that makes all of it resident,
+    # up to 2 MiB more, but unadvised it faults in 4 KiB at a time, about
+    # 437 of a 1.01M-sample map's 440 faults.  The advice is best effort, as
+    # the flags are.
+    length = 8 * count
+    huge = length >= _HUGE_PAGE
+    if huge:
+        length = -(-length // _HUGE_PAGE) * _HUGE_PAGE
     if hasattr(mmap, "MAP_PRIVATE"):
         buffer = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     else:
         buffer = mmap.mmap(-1, length)
     if huge and hasattr(mmap, "MADV_HUGEPAGE"):
         try:
-            buffer.madvise(mmap.MADV_HUGEPAGE, 0, huge)
+            buffer.madvise(mmap.MADV_HUGEPAGE, 0, length)
         except OSError:  # a kernel without transparent huge pages
             pass
-    times = np.frombuffer(buffer, dtype=np.float64, count=count)
+    return np.frombuffer(buffer, dtype=np.float64, count=count)
+
+
+def _simulate(times: np.ndarray, nu: float, b: float, config: SimConfig, stream: int) -> TailEstimate:
+    # simulate_sensor's estimate for a validated nu and b, drawn into times,
+    # an array of _WARMUP + config.num_samples floats whose values are never
+    # read: the draw overwrites every one.  The estimate holds Python floats
+    # only, so times can serve the next sensor as soon as this returns.
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream)))
     with np.errstate(over="ignore", invalid="ignore"):
         # -log1p(-u)/nu, evaluated in place: sign flips are exact, so the
         # values are the same as the out-of-place expression.
@@ -309,6 +306,27 @@ def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) 
     )
 
 
+def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) -> TailEstimate:
+    """Simulate one sensor and estimate its peak-age tail exponent.
+
+    Draws ``_WARMUP + num_samples`` exponential(rate ``nu``) service times by
+    inverse transform from a substream selected by ``(config.seed, stream)``,
+    runs the FCFS delivery recursion, discards the warm-up peaks, and fits
+    the tail over the 0.90-0.999 quantile window.  The customers are served
+    in chunk order, not draw order: the warm-up draws form one chunk and
+    the kept draws chunks of up to 16 x 8192, each read as a C-contiguous
+    ``(16, width)`` array whose customer ``s*16 + i`` is element ``[i, s]``
+    (a last row of 1 to 15 draws is served in order).  The service times
+    are i.i.d., so any fixed order of them is a sample path of the same
+    queue, and the estimate has the same distribution.  The samples live
+    in a memory map of their own, released when the call returns.  Raises
+    ValueError when ``nu``, ``b`` or ``nu*b`` is not finite and positive,
+    or when the peak ages or their mean overflow the floats.
+    """
+    nu, b = _rate_and_delay(nu, b)
+    return _simulate(_sample_array(_WARMUP + config.num_samples), nu, b, config, stream)
+
+
 def simulate_plan(
     scenario: Scenario, plan: AllocationPlan, config: SimConfig
 ) -> list[TailEstimate]:
@@ -317,9 +335,12 @@ def simulate_plan(
     Sensors interact only through the static resource split, so each runs
     as its own queue with service rate ``mu_i * r_i`` and period ``b_i``, on
     one of ``min(n, os.cpu_count())`` worker threads, which overlap while
-    numpy runs without the interpreter lock.  Results are ordered by sensor
-    index, deterministic per seed, and identical to simulating the sensors
-    one after another.  Raises ValueError as ``plan.validate_for`` does,
+    numpy runs without the interpreter lock.  Each worker draws into one
+    sample map, made when it starts its first sensor and reused for every
+    later one, so a call holds one map per worker, not per sensor; the maps
+    are released when the call returns.  Results are ordered by sensor
+    index, deterministic per seed, and identical to ``simulate_sensor`` on
+    each sensor in turn.  Raises ValueError as ``plan.validate_for`` does,
     an unstable queue included.  An error in a sensor's simulation is
     raised unchanged, from the lowest failing sensor.
     """
@@ -329,8 +350,15 @@ def simulate_plan(
 
     plan.validate_for(scenario)
     nu = scenario.mu * plan.r
+    count = _WARMUP + config.num_samples
+    # Every sensor draws count samples, so one map per worker fits them all.
+    maps = threading.local()
+
+    def simulate(stream: int, nu_i: float, b_i: float) -> TailEstimate:
+        nu_i, b_i = _rate_and_delay(nu_i, b_i)
+        if not hasattr(maps, "times"):
+            maps.times = _sample_array(count)
+        return _simulate(maps.times, nu_i, b_i, config, stream)
+
     with ThreadPoolExecutor(max_workers=min(scenario.n, os.cpu_count() or 1)) as pool:
-        return list(pool.map(
-            lambda i, nu_i, b_i: simulate_sensor(nu_i, b_i, config, stream=i),
-            range(scenario.n), nu.tolist(), plan.b.tolist(),
-        ))
+        return list(pool.map(simulate, range(scenario.n), nu.tolist(), plan.b.tolist()))

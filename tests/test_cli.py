@@ -156,6 +156,9 @@ NEWTON_PAST_THE_FLOATS = [  # feasible, but q or a Newton step leaves the floats
     ({"budget": 1.0, "sensors": [{"mu": 1, "cost": 1, "theta": 1e-160}] * 2}, "s=5e-161 "),
     ({"budget": 1.0, "sensors": [{"mu": 1e300, "cost": 1, "theta": 1e299}] * 2}, "s=4.0000000000000056e+300 "),
     ({"budget": 1e300, "sensors": [{"mu": 1, "cost": 1, "theta": 1e299}] * 2}, "s=0.0 "),
+    # cost*mu and theta**2 both overflow, so sensor 0's q is inf/inf.
+    ({"sensors": [{"mu": 1e300, "cost": 1e300, "theta": 1e200}, {"mu": 1, "cost": 1, "theta": 0.5}]},
+     "s=5e-101 "),
 ]
 
 

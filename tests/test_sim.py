@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -367,7 +368,7 @@ class TestTailEstimate:
 
     def test_private_map_and_its_fallback_give_the_same_estimate(self, monkeypatch):
         # 310 000 samples fill one 2 MiB page and part of a second: the map
-        # is rounded up to two pages and only the first is advised.  A
+        # is rounded up to two pages and both are advised.  A
         # private, advised map where the mmap module has MAP_PRIVATE and
         # MADV_HUGEPAGE; advice the kernel refuses is ignored; without
         # MADV_HUGEPAGE no advice; without MAP_PRIVATE, as on Windows where
@@ -391,7 +392,7 @@ class TestTailEstimate:
             monkeypatch.setattr(sim, "mmap", types.SimpleNamespace(mmap=recording_mmap, **names))
             estimates.append(simulate_sensor(1.0, 2.0, config))
         assert estimates[1:] == estimates[:1] * 3
-        length, advised = 2 * sim._HUGE_PAGE, sim._HUGE_PAGE
+        length = advised = 2 * sim._HUGE_PAGE
         private_map = ("mmap", -1, length, {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS})
         assert calls == [
             private_map, ("madvise", mmap.MADV_HUGEPAGE, 0, advised),
@@ -418,6 +419,17 @@ class TestTailEstimate:
         _peak_ages(ages, 0.7)
         assert all(age > 0.7 for age in ages)
         assert all(age >= t + 0.7 for age, t in zip(ages, times))
+
+    def test_stable_queue_peaks_exceed_sampling_period_up_to_the_scan_rounding(self):
+        # At nu*b = 2 the queue empties often.  Where it does, the scan's
+        # Q_j - min + 2b is T_j + b only up to the rounding of the chunk's
+        # sums, so a peak may land a few ulps of those sums below T_j + b:
+        # the scan's documented tolerance, 1e-10 relative.  Three whole
+        # chunks and a row of 7, so the bound holds across chunk edges.
+        times = exponential_times(1.0, 3 * _CHUNK + 7, seed=5)
+        ages = times.copy()
+        _peak_ages(ages, 2.0)
+        assert np.all(ages >= (times + 2.0) * (1.0 - 1e-10))
 
     def test_ccdf_matches_direct_counting(self):
         ages = [1.5, 1.5, 3.5, 3.0, 3.5, 2.75]
@@ -568,17 +580,52 @@ class TestSimulatePlan:
         # concurrent workers pass; with 2 CPUs, 5 sensors use 2 threads.
         barrier, threads = threading.Barrier(2, timeout=10), set()
 
-        def meet(nu, b, config, *, stream):
+        def meet(times, nu, b, config, stream):
             threads.add(threading.get_ident())
             if stream < 4:
                 barrier.wait()
             return stream
 
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(sim, "simulate_sensor", meet)
+        monkeypatch.setattr(sim, "_simulate", meet)
         scenario = Scenario.from_arrays(mu=[1.0] * 5, cost=[1.0] * 5, theta=[0.1] * 5)
         assert simulate_plan(scenario, solve_exact(scenario), SimConfig()) == [0, 1, 2, 3, 4]
         assert len(threads) == 2 and threading.get_ident() not in threads
+
+    def test_each_worker_draws_its_sensors_into_one_map(self, monkeypatch):
+        # With 2 CPUs, 5 sensors run on 2 workers, and each worker makes one
+        # map, for its first sensor: 2 maps, where one map per sensor would
+        # make 5.  The first two makers wait for each other at a barrier,
+        # so both workers run a sensor.  310 000 samples fill a 2 MiB page,
+        # so each map is advised whole and reused at that size.  The
+        # estimates are simulate_sensor's, and the maps are released by the
+        # time simulate_plan returns.
+        barrier, makers, maps = threading.Barrier(2, timeout=10), [], []
+        sample_array = sim._sample_array
+
+        def recording_sample_array(count):
+            times = sample_array(count)
+            makers.append(threading.get_ident())
+            maps.append(weakref.ref(times.base.obj))
+            if len(makers) <= 2:
+                barrier.wait()
+            return times
+
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sim, "_sample_array", recording_sample_array)
+        scenario = Scenario.from_arrays(
+            mu=(1.0, 2.0, 0.5, 4.0, 1.5), cost=(1.0, 3.0, 2.0, 1.0, 5.0), theta=[0.08] * 5
+        )
+        plan = solve_exact(scenario)
+        config = SimConfig(num_samples=300_000, seed=6)
+        estimates = simulate_plan(scenario, plan, config)
+        assert len(makers) == len(set(makers)) == 2
+        assert [ref() for ref in maps] == [None, None]
+        nu = scenario.mu * plan.r
+        assert estimates == [
+            simulate_sensor(nu_i, b_i, config, stream=i)
+            for i, (nu_i, b_i) in enumerate(zip(nu.tolist(), plan.b.tolist()))
+        ]
 
     def test_worker_error_reaches_the_caller_from_the_lowest_failing_sensor(self):
         # Sensors 1 and 2 pass validate_for and nu*b > 1, but nu*b overflows.
@@ -592,6 +639,17 @@ class TestSimulatePlan:
         with pytest.raises(ValueError) as raised:
             simulate_plan(scenario, plan, SimConfig(num_samples=1000))
         assert str(raised.value) == str(direct.value)
+
+    def test_a_refused_sensor_makes_no_map(self, monkeypatch):
+        # The sensor passes validate_for, but its nu*b overflows: the worker
+        # refuses it before it makes a map.
+        made = []
+        monkeypatch.setattr(sim, "_sample_array", lambda count: made.append(count))
+        scenario = Scenario.from_arrays(mu=(1e300,), cost=(1,), theta=(0.25,))
+        plan = AllocationPlan(r=(1.0,), b=(1e10,), method=SolveMethod.EXACT, total_cost=1e10)
+        with pytest.raises(ValueError, match="nu\\*b must be finite"):
+            simulate_plan(scenario, plan, SimConfig(num_samples=1000))
+        assert made == []
 
 
 def test_import_does_not_load_concurrent_futures():
