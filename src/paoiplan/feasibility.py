@@ -4,9 +4,9 @@ A scenario admits a valid allocation iff the total required load
 ``sum(theta_i / mu_i)`` is strictly below the budget: each sensor needs at
 least ``theta_i / mu_i`` of the resource before its service rate exceeds
 its exponent, and strictly more to leave the tail constraint satisfiable.
-The load and the slack ``budget - load`` are summed once per scenario and
-kept in its planning kernel (``Scenario._load_and_slack``), so the test
-and both planners' gate read the same two floats.
+The load and the slack ``budget - load`` are summed when the scenario is
+built, as part of its planning kernel (``Scenario._load_and_slack``), so
+the test and both planners' gate read the same two floats.
 """
 from __future__ import annotations
 

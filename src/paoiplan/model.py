@@ -8,15 +8,14 @@ planners build their plan through ``_plan_from_headroom``, which puts each
 delay at the tight point of its tail constraint.
 
 A scenario also carries the planning kernel: the per-sensor constants and
-per-scenario sums that the feasibility test and both planners share, each
-computed from ``mu``, ``cost``, ``theta`` and ``budget`` on first use and
-then kept.  They are the minimum shares ``theta/mu``, the load
+per-scenario sums that the feasibility test and both planners share, all
+computed from ``mu``, ``cost``, ``theta`` and ``budget`` when the scenario
+is built.  They are the minimum shares ``theta/mu``, the load
 ``fsum(theta/mu)`` and the slack ``budget - load``, the closed form's
-weights ``cost/theta`` and their total, and, for the exact planner only,
+weights ``cost/theta`` and their total, and, for the exact planner,
 ``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``, from which
 ``Scenario._headroom`` gives the headroom above the minimum shares and its
-slope at ``s = 1/lam``.  Nothing is evaluated before a path needs it, so
-the feasibility test and the closed form never form ``theta**2``.
+slope at ``s = 1/lam``.  No planning path recomputes them.
 """
 from __future__ import annotations
 
@@ -60,6 +59,14 @@ def _rate_and_delay(nu: float, b: float) -> tuple[float, float]:
     return nu, b
 
 
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum`` of nonnegative values; a sum past the floats is inf, as its rounding would be."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return math.inf
+
+
 def _freeze_sensor_vectors(instance, names: tuple[str, ...]) -> None:
     """Replace the named fields by the read-only rows of one validated float64 copy.
 
@@ -92,26 +99,6 @@ def _freeze_sensor_vectors(instance, names: tuple[str, ...]) -> None:
         object.__setattr__(instance, name, row)
 
 
-class _kept:
-    """A method read as an attribute, computed on first use and then kept.
-
-    A non-data descriptor: the value is written into the instance
-    ``__dict__`` (past a frozen dataclass's ``__setattr__``), where later
-    reads find it before they reach the descriptor.  Unlike
-    ``functools.cached_property`` on Python 3.11 it takes no lock; two
-    threads that race on a first use both compute the same value.
-    """
-
-    def __init__(self, method) -> None:
-        self.method, self.name, self.__doc__ = method, method.__name__, method.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.method(instance)
-        return value
-
-
 def _value_eq(self, other) -> bool:
     # Field-by-field value equality: the generated __eq__ cannot compare arrays.
     if type(other) is not type(self):
@@ -127,7 +114,8 @@ class Scenario:
     (packets/time per share), delay unit cost ``cost[i]`` (the price of
     delaying sampling by one time unit), and required exponential decay
     rate ``theta[i]`` of its peak-age tail.  The three are stored once as
-    validated, read-only float64 arrays of equal length.
+    validated, read-only float64 arrays of equal length, next to the
+    planning kernel built from them.
     """
 
     mu: np.ndarray
@@ -141,6 +129,23 @@ class Scenario:
         if not (math.isfinite(budget) and budget > 0.0):
             raise ValueError(f"Scenario.budget must be a finite positive number, got {self.budget!r}")
         object.__setattr__(self, "budget", budget)
+        # The planning kernel (module docstring).  A value past the floats
+        # comes out inf, 0 or NaN with no warning: an infinite theta/mu makes
+        # the load infinite, which the feasibility test refuses; an infinite
+        # cost/theta or weight total makes the closed form refuse its plan;
+        # a q of 0, inf or NaN (theta**2 or cost*mu past the floats) stops
+        # the root-find, which names where.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            min_share, weight = self.theta / self.mu, self.cost / self.theta
+            weight_total = float(weight.sum())
+            root_constants = 4.0 * self.cost * self.mu / self.theta**2, self.theta / (2.0 * self.mu)
+        # slack > 0 is load < budget in IEEE arithmetic: the difference of two
+        # unequal floats never rounds to 0, and an infinite load gives -inf.
+        load = _fsum(min_share)
+        kernel = {"_min_share": min_share, "_weight": weight, "_weight_total": weight_total,
+                  "_root_constants": root_constants, "_load_and_slack": (load, budget - load)}
+        for name, value in kernel.items():
+            object.__setattr__(self, name, value)
 
     __eq__ = _value_eq
 
@@ -158,59 +163,7 @@ class Scenario:
         Every plan's ``total_cost`` comes from here, so recomputing it for
         the same delays reproduces it bit for bit.
         """
-        return math.fsum((self.cost * np.asarray(b, dtype=float)).tolist())
-
-    @_kept
-    def _min_share(self) -> np.ndarray:
-        """``theta/mu``: below it a sensor's service rate does not exceed its exponent.
-
-        A share past the floats is inf, with no warning: the scenario's
-        load is then infinite and the feasibility test refuses it.
-        """
-        with np.errstate(over="ignore"):
-            return self.theta / self.mu
-
-    @_kept
-    def _weight(self) -> np.ndarray:
-        """``cost/theta``: the headroom's slope at ``s = 0``, the closed form's weights.
-
-        A weight past the floats is inf, with no warning: the closed form
-        then refuses its plan naming that sensor.
-        """
-        with np.errstate(over="ignore"):
-            return self.cost / self.theta
-
-    @_kept
-    def _weight_total(self) -> float:
-        """``sum(cost/theta)``: the closed form's divisor and Newton's first slope."""
-        return float(self._weight.sum())
-
-    @_kept
-    def _load_and_slack(self) -> tuple[float, float]:
-        """The load ``fsum(theta/mu)`` and the slack ``budget - load``: feasible iff slack > 0.
-
-        ``slack > 0`` is ``load < budget`` in IEEE arithmetic: the difference of
-        two unequal floats never rounds to 0, and an infinite load gives -inf.
-        Every ``theta/mu`` is positive, so a sum that passes the floats (fsum's
-        OverflowError) is a load above every finite budget: it is read as inf.
-        """
-        try:
-            load = math.fsum(self._min_share.tolist())
-        except OverflowError:
-            load = math.inf
-        return load, self.budget - load
-
-    @_kept
-    def _root_constants(self) -> tuple[np.ndarray, np.ndarray]:
-        """The exact planner's ``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``.
-
-        A ``q`` past the floats (``theta**2`` overflowing to inf or
-        underflowing to 0) comes out 0 or inf, and NaN where ``cost*mu``
-        overflows too (inf/inf), with no warning: the root-find then stops
-        and names where.
-        """
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return 4.0 * self.cost * self.mu / self.theta**2, self.theta / (2.0 * self.mu)
+        return _fsum(self.cost * np.asarray(b, dtype=float))
 
     def _headroom(self, s: float, with_slope: bool = False):
         """Per-sensor share above ``theta/mu`` at ``s = 1/lam``, and its slope in ``s`` if asked.
@@ -281,7 +234,12 @@ class AllocationPlan:
         """
         if self.n != scenario.n:
             raise ValueError(f"plan covers {self.n} sensors, scenario has {scenario.n}")
-        rates = scenario.mu * self.r
+        # Products past the floats come out inf: the cost check refuses an
+        # infinite delay cost, and simulate_sensor an infinite nu or nu*b.
+        with np.errstate(over="ignore"):
+            rates = scenario.mu * self.r
+            unstable = np.flatnonzero(~(rates * self.b > 1.0))
+            recomputed = scenario.delay_cost(self.b)
         dominated = np.flatnonzero(rates <= scenario.theta)
         if dominated.size:
             i = int(dominated[0])
@@ -289,16 +247,13 @@ class AllocationPlan:
                 f"sensor {i}: service rate {rates[i]:.6g} does not exceed "
                 f"outage exponent {scenario.theta[i]:.6g}"
             )
-        total_share = math.fsum(self.r.tolist())
+        total_share = _fsum(self.r)
         if total_share > scenario.budget * (1.0 + _BUDGET_RTOL):
             raise ValueError(f"shares sum to {total_share:.12g}, above budget {scenario.budget:.12g}")
-        recomputed = scenario.delay_cost(self.b)
-        if not abs(self.total_cost - recomputed) <= _COST_RTOL * recomputed:
+        if not (recomputed < math.inf and abs(self.total_cost - recomputed) <= _COST_RTOL * recomputed):
             raise ValueError(
                 f"total_cost {self.total_cost!r} does not match recomputed value {recomputed!r}"
             )
-        with np.errstate(over="ignore"):  # an overflowing nu*b is refused by simulate_sensor
-            unstable = np.flatnonzero(~(rates * self.b > 1.0))
         if unstable.size:
             i = int(unstable[0])
             raise ValueError(f"sensor {i}: nu*b = {rates[i] * self.b[i]:.6g} <= 1, so its queue is unstable")
@@ -315,13 +270,15 @@ def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=N
     weight ``cost/theta`` overflows) gives a NaN delay.  ``AllocationPlan``
     refuses all three, blaming its own ``b``; the refusal is raised again
     naming the first sensor whose delay is not a finite positive number,
-    and the cause, so a plan that passes costs no extra check.
+    and the cause, so a plan that passes costs no extra check.  A share or
+    a delay cost past the floats is inf, which the plan refuses as it is.
     """
     mu, theta, min_share = scenario.mu, scenario.theta, scenario._min_share
     with np.errstate(divide="ignore", over="ignore"):
         delays = np.log1p(theta / (mu * headroom)) / theta
+        shares, total_cost = min_share + headroom, scenario.delay_cost(delays)
     try:
-        return AllocationPlan(min_share + headroom, delays, method, scenario.delay_cost(delays), lam)
+        return AllocationPlan(shares, delays, method, total_cost, lam)
     except ValueError:
         unrepresentable = np.flatnonzero(~((delays > 0.0) & (delays < math.inf)))
         if not unrepresentable.size:

@@ -349,7 +349,8 @@ def simulate_plan(
     from concurrent.futures import ThreadPoolExecutor
 
     plan.validate_for(scenario)
-    nu = scenario.mu * plan.r
+    with np.errstate(over="ignore"):  # an infinite rate is refused by _rate_and_delay
+        nu = scenario.mu * plan.r
     count = _WARMUP + config.num_samples
     # Every sensor draws count samples, so one map per worker fits them all.
     maps = threading.local()

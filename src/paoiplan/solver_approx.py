@@ -36,9 +36,13 @@ def solve_approx(scenario: Scenario) -> AllocationPlan:
         raise ValueError(
             "every cost/theta underflows to 0: the closed form has no weights to split the slack"
         )
-    if total < math.inf:
-        headroom = weights * (slack / total)
-    else:  # an infinite weight's headroom, inf * 0, is NaN: the plan refuses it naming the sensor
-        with np.errstate(invalid="ignore"):
-            headroom = weights * 0.0
+    # No weight exceeds the total, so where total*ratio is finite no headroom
+    # overflows.  Elsewhere (ratio is 0 where total is inf) the headroom may
+    # hold inf or inf*0 = NaN, which the plan refuses naming the sensor.
+    ratio = slack / total
+    if 0.0 < ratio and total * ratio < math.inf:
+        headroom = weights * ratio
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            headroom = weights * ratio
     return _plan_from_headroom(scenario, headroom, SolveMethod.APPROX)

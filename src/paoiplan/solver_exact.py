@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .feasibility import feasible_slack
-from .model import AllocationPlan, Scenario, SolveMethod, _plan_from_headroom
+from .model import AllocationPlan, Scenario, SolveMethod, _fsum, _plan_from_headroom
 
 # Newton takes 3-8 steps, the first of them from s = 0, at loads from 0.5 up
 # to the boundary and up to about 30 when the minimum shares sit many decades
@@ -76,7 +76,7 @@ def _find_multiplier(scenario: Scenario, slack: float) -> tuple[float, float, np
             break
         s = next_s
         headroom, slope = scenario._headroom(s, with_slope=True)
-        gap, slope_sum = slack - math.fsum(headroom.tolist()), float(slope.sum())
+        gap, slope_sum = slack - _fsum(headroom), float(slope.sum())
     raise ConvergenceError(
         f"Newton on 1/lambda stopped at s={s!r} without meeting the budget slack {slack!r}"
     )
@@ -91,7 +91,9 @@ def solve_exact(scenario: Scenario) -> AllocationPlan:
     no allocation can dominate every exponent, ConvergenceError when a
     Newton step leaves the finite floats or the step cap is reached.
     """
-    lam, s, headroom = _find_multiplier(scenario, feasible_slack(scenario))
-    if 1.0 / lam != s:  # 1/(1/s) rounds away from s: the plan is at 1/lam, not at s
-        headroom = scenario._headroom(1.0 / lam)
+    # One scope for every headroom: q*s past the floats (and 0*inf) stops Newton, which names s.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam, s, headroom = _find_multiplier(scenario, feasible_slack(scenario))
+        if 1.0 / lam != s:  # 1/(1/s) rounds away from s: the plan is at 1/lam, not at s
+            headroom = scenario._headroom(1.0 / lam)
     return _plan_from_headroom(scenario, headroom, SolveMethod.EXACT, lam)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import paoiplan.cli as cli
 from helpers import plan_to_dict, scenario_at_load
@@ -152,6 +155,36 @@ class TestLoadPastTheFloats:
         _one_error_line(capsys.readouterr(), "required load inf is not strictly below budget 1")
 
 
+# q*s overflows at Newton's first step, and sensor 1's theta/(2*mu) underflows
+# to 0, so its headroom there is 0*inf.
+Q_TIMES_S_PAST_THE_FLOATS = {"budget": 1.7e308, "sensors": [
+    {"mu": 1e200, "cost": 0.3, "theta": 0.3}, {"mu": 1e300, "cost": 1.0, "theta": 1e-200},
+]}
+# sum(cost/theta) overflows, so Newton's first step and the closed form's share are both 0.
+WEIGHT_TOTAL_PAST_THE_FLOATS = {"budget": 3.0, "sensors": [{"mu": 1, "cost": 1.7e308, "theta": 1}] * 2}
+# slack/sum(cost/theta) overflows, and sensor 1's cost/theta underflows to 0,
+# so the closed form's headroom is inf for sensor 0 and 0*inf for sensor 1.
+SLACK_SHARE_PAST_THE_FLOATS = {"budget": 1e300, "sensors": [
+    {"mu": 1, "cost": 5e-324, "theta": 1}, {"mu": 1, "cost": 5e-324, "theta": 1e10},
+]}
+# mu*r overflows: the plan passes validate_for, and simulate refuses its rate.
+RATE_PAST_THE_FLOATS = {"budget": 1e10, "sensors": [{"mu": 1e300, "cost": 1, "theta": 1e299}]}
+# The closed form's delay costs are about 1.3e308 each: their sum passes the floats.
+DELAY_COST_PAST_THE_FLOATS = {"budget": 2.5, "sensors": [{"mu": 1, "cost": 8e307, "theta": 1}] * 2}
+# At the largest budget the closed form's headroom (weight*slack/total) and
+# the exact plan's share (theta/mu + headroom) round past the floats, and
+# the closed form's shares sum past them.
+HEADROOM_PAST_THE_FLOATS = {"budget": 1.7976931348623157e308, "sensors": [
+    {"mu": 1.0, "cost": 1.7976931348623157e308, "theta": 1e119},
+]}
+SHARE_PAST_THE_FLOATS = {"budget": 1.7976931348623157e308, "sensors": [
+    {"mu": 1.8731774735900533e-298, "cost": 8.379351312905775e235, "theta": 1.0},
+]}
+SHARE_SUM_PAST_THE_FLOATS = {"budget": 1.7976931348623157e308, "sensors": [
+    {"mu": 5e-324, "cost": 5e-324, "theta": 5e-324},
+    {"mu": 2.2250738585072014e-308, "cost": 1.0, "theta": 1.0},
+]}
+
 NEWTON_PAST_THE_FLOATS = [  # feasible, but q or a Newton step leaves the floats
     ({"budget": 1.0, "sensors": [{"mu": 1, "cost": 1, "theta": 1e-160}] * 2}, "s=5e-161 "),
     ({"budget": 1.0, "sensors": [{"mu": 1e300, "cost": 1, "theta": 1e299}] * 2}, "s=4.0000000000000056e+300 "),
@@ -159,6 +192,8 @@ NEWTON_PAST_THE_FLOATS = [  # feasible, but q or a Newton step leaves the floats
     # cost*mu and theta**2 both overflow, so sensor 0's q is inf/inf.
     ({"sensors": [{"mu": 1e300, "cost": 1e300, "theta": 1e200}, {"mu": 1, "cost": 1, "theta": 0.5}]},
      "s=5e-101 "),
+    (Q_TIMES_S_PAST_THE_FLOATS, "s=1.7e+108 "),
+    (WEIGHT_TOTAL_PAST_THE_FLOATS, "s=0.0 "),
 ]
 
 
@@ -169,6 +204,71 @@ def test_solve_exits_3_with_one_error_line_where_newton_leaves_the_floats(
     # Warnings are errors under pytest, so a numpy warning fails this test.
     assert cli.main(["solve", scenario_file(payload)]) == 3
     _one_error_line(capsys.readouterr(), f"Newton on 1/lambda stopped at {where}")
+
+
+@pytest.mark.parametrize("payload,message", [
+    (SLACK_SHARE_PAST_THE_FLOATS, "sensor 0: its sampling delay underflows to 0 in floats"),
+    (WEIGHT_TOTAL_PAST_THE_FLOATS, "sensor 0: its headroom above theta/mu cannot be represented"),
+    (DELAY_COST_PAST_THE_FLOATS, "AllocationPlan.total_cost must be finite"),
+])
+def test_approx_exits_1_with_one_error_line_where_its_plan_leaves_the_floats(
+    scenario_file, capsys, payload, message
+):
+    assert cli.main(["approx", scenario_file(payload)]) == 1
+    _one_error_line(capsys.readouterr(), message)
+
+
+# Every field and the budget: log-uniform over the positive floats, or at an edge of them.
+POSITIVE_FLOATS = st.one_of(
+    st.sampled_from((5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308)),
+    st.floats(math.log10(5e-324), math.log10(1.7e308)).map(lambda e: min(max(10.0**e, 5e-324), 1.7e308)),
+)
+SENSOR = st.fixed_dictionaries({"mu": POSITIVE_FLOATS, "cost": POSITIVE_FLOATS, "theta": POSITIVE_FLOATS})
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exits_cleanly(code, out, err):
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2, 3) and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@settings(max_examples=60, deadline=None)
+@given(sensors=st.lists(SENSOR, min_size=1, max_size=4), budget=POSITIVE_FLOATS)
+@example(**Q_TIMES_S_PAST_THE_FLOATS)
+@example(**WEIGHT_TOTAL_PAST_THE_FLOATS)
+@example(**SLACK_SHARE_PAST_THE_FLOATS)
+@example(**RATE_PAST_THE_FLOATS)
+@example(**DELAY_COST_PAST_THE_FLOATS)
+@example(**HEADROOM_PAST_THE_FLOATS)
+@example(**SHARE_PAST_THE_FLOATS)
+@example(**SHARE_SUM_PAST_THE_FLOATS)
+def test_every_command_exits_with_its_code_and_at_most_one_error_line(workdir, sensors, budget):
+    # Warnings are errors under pytest, so a numpy warning fails this test.
+    scenario = workdir / "scenario.json"
+    scenario.write_text(json.dumps({"budget": budget, "sensors": sensors}))
+    code, out, err = _run(["feasible", str(scenario)])
+    assert err == "" and (code == 0) == strict_loads(out)["feasible"] and code in (0, 2)
+    for command in ("solve", "approx"):
+        plan = workdir / "plan.json"
+        code, out, err = _run([command, str(scenario), "--out", str(plan)])
+        _exits_cleanly(code, out, err)
+        if code == 0 and len(sensors) <= 2:
+            _exits_cleanly(*_run(["simulate", str(scenario), str(plan), "--samples", "1000"]))
 
 
 class TestSchemaValidation:
@@ -417,6 +517,20 @@ class TestSimulateRoundTrip:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "sensor 0" in captured.err and "unstable" in captured.err
+
+    def test_rate_past_the_floats_exits_1_with_one_error_line(self, scenario_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"r": [1e10], "b": [1.0], "method": "approx", "total_cost": 1.0}))
+        assert cli.main(["simulate", scenario_file(RATE_PAST_THE_FLOATS), str(plan_path)]) == 1
+        _one_error_line(capsys.readouterr(), "service rate must be finite and positive, got inf")
+
+    def test_delay_cost_past_the_floats_matches_no_total_cost(self, scenario_file, tmp_path, capsys):
+        # cost*b = 1e310 is inf, and |1e308 - inf| <= 1e-9 * inf held.
+        scenario = scenario_file({"sensors": [{"mu": 1, "cost": 1e300, "theta": 0.25}]})
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"r": [1.0], "b": [1e10], "method": "approx", "total_cost": 1e308}))
+        assert cli.main(["simulate", scenario, str(plan_path), "--samples", "1000"]) == 1
+        _one_error_line(capsys.readouterr(), "total_cost 1e+308 does not match recomputed value inf")
 
     def test_plan_schema_rejects_unknown_keys(self, scenario_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

@@ -1,10 +1,9 @@
 """The per-scenario planning kernel.
 
 Both planners and the feasibility test read their per-sensor constants from
-the scenario, computed once.  The plans must be the ones the planners made
-when every constant was recomputed at each use (the frozen copy in
-``helpers``), bit for bit, and a path must evaluate no constant it does not
-use: the closed form and the feasibility test never form ``theta**2``.
+the scenario, computed once when it is built.  The plans must be the ones
+the planners made when every constant was recomputed at each use (the
+frozen copy in ``helpers``), bit for bit.
 """
 import json
 import math
@@ -139,15 +138,18 @@ def test_closed_form_fails_cleanly_where_every_weight_underflows(tmp_path, capsy
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
 
 
-def test_constants_are_kept_only_on_the_paths_that_use_them():
-    scenario = scenario_at_load(4, 0.9, np.random.default_rng(5))
+KERNEL = ("_min_share", "_weight", "_weight_total", "_load_and_slack", "_root_constants")
+
+
+def test_kernel_is_built_with_the_scenario_and_never_recomputed():
+    scenario = scenario_at_load(8, 0.9, np.random.default_rng(3))
+    assert set(KERNEL) <= vars(scenario).keys()
+    built = {name: getattr(scenario, name) for name in KERNEL}
+    check_feasibility(scenario)
     solve_approx(scenario)
-    assert "_root_constants" not in vars(scenario)
-    assert {"_min_share", "_weight"} <= vars(scenario).keys()
-    assert scenario._weight is scenario._weight
     solve_exact(scenario)
-    kept = scenario._root_constants
-    assert scenario._root_constants is kept and vars(scenario)["_root_constants"] is kept
+    solve_approx(scenario)
+    assert all(getattr(scenario, name) is value for name, value in built.items())
 
 
 def test_feasibility_raises_no_warning_where_the_minimum_shares_underflow():
@@ -190,23 +192,3 @@ def test_exact_plan_reuses_newtons_last_headroom_where_1_over_lam_is_s(monkeypat
     monkeypatch.setattr(helpers, "frozen_headroom", frozen_counted)
     _assert_same_bits(solve_exact(scenario), frozen_solve_exact(scenario))
     assert counts["package"] == counts["frozen"] - (2 if reused else 1)
-
-
-def test_load_slack_and_weight_total_are_computed_once(monkeypatch):
-    calls = {"_load_and_slack": 0, "_weight_total": 0}
-    for name in calls:
-        kept = vars(Scenario)[name]
-
-        def counted(scenario, method=kept.method, name=name):
-            calls[name] += 1
-            return method(scenario)
-
-        monkeypatch.setattr(kept, "method", counted)
-    scenario = scenario_at_load(8, 0.9, np.random.default_rng(3))
-    check_feasibility(scenario)
-    solve_approx(scenario)
-    assert "_root_constants" not in vars(scenario)
-    solve_exact(scenario)
-    solve_approx(scenario)
-    assert {"_load_and_slack", "_weight_total"} <= vars(scenario).keys()
-    assert calls == {"_load_and_slack": 1, "_weight_total": 1}
