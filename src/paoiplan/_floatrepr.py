@@ -1,9 +1,10 @@
 """Shortest round-trip decimal text of float64 arrays: ``repr`` for whole columns.
 
-``join_reprs(values, sep)`` returns ``sep.join(map(repr, values.tolist()))``
-byte for byte, for a nonempty array of finite positive float64 values (the
-domain an ``AllocationPlan`` guarantees for its ``r`` and ``b``; zero,
-negative, non-finite or empty input is outside it and is not checked).
+``join_reprs(values)`` returns ``",\n    ".join(map(repr, values.tolist()))``,
+a plan column as ``json.dumps(indent=2)`` writes it, byte for byte, for a
+nonempty array of finite positive float64 values (the domain an
+``AllocationPlan`` guarantees for its ``r`` and ``b``; zero, negative,
+non-finite or empty input is outside it and is not checked).
 
 Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 2020; the algorithm of Java 19's ``Double.toString``) on uint64 lanes.  It
@@ -30,6 +31,7 @@ _K_MIN, _K_MAX = -324, 292
 _DECPT_MIN, _DECPT_MAX = -323, 309
 _DIGITS = 17
 _CHUNK = 4096
+_SEPARATOR = ",\n    "  # between two values of a plan column; ASCII, at most 8 bytes
 
 
 def _flog2pow10(e):
@@ -60,11 +62,11 @@ def _words(texts, dtype) -> np.ndarray:
     return np.frombuffer(b"".join(t.encode().ljust(width, b"\0") for t in texts), dtype=dtype)
 
 
-# One row of uint64 words per value, each field at a fixed byte offset:
+# One row of eight uint64 words per value, each field at a fixed byte offset:
 #   0-4 "0.000" | 7-23 the 17 digits (A) | 24 "." | 31-47 the 17 digits (B)
-#   | 48-52 the exponent | 56- sep
+#   | 48-52 the exponent | 56-63 the separator
 # A text keeps a prefix of "0.000", A's first digits, the dot, the rest of
-# B's digits, the exponent and sep, so masking each row's unkept bytes
+# B's digits, the exponent and the separator, so masking each row's unkept bytes
 # compacts the rows into the text.  The kept bytes depend only on the layout
 # and the digit count n, which give the row of _KEEP: 18*layout + n.
 # Layouts: 1-16 fixed form with decpt digits before the dot (ddd.ddd or
@@ -75,8 +77,9 @@ _A, _DOT, _B, _EXP, _SEP = 7, 24, 31, 48, 56
 
 
 def _keep_table() -> np.ndarray:
-    """Per layout code, the bytes of a row ahead of sep that the value's text keeps."""
-    table = np.zeros((23 * 18, _SEP), dtype=bool)
+    """Per layout code, the bytes of a row that the value's text and its separator keep."""
+    table = np.zeros((23 * 18, _SEP + 8), dtype=bool)
+    table[:, _SEP : _SEP + len(_SEPARATOR)] = True
     for n in range(1, _DIGITS + 1):
         for decpt in range(1, 17):
             row = table[18 * decpt + n]
@@ -100,6 +103,7 @@ _ZEROS_AND_LEAD = _words([f"0.000\0\0{d}" for d in range(10)], _U64)
 _DOT_AND_LEAD = _words([f".\0\0\0\0\0\0{d}" for d in range(10)], _U64)
 _EXPONENTS = _words([f"e{d - 1:+03d}" for d in range(_DECPT_MIN, _DECPT_MAX + 1)], _U64)
 _KEEP = _keep_table()
+_SEPARATOR_WORD = _words([_SEPARATOR], _U64)[0]
 _LAYOUT_ROW = 18 * np.array([  # 18 * layout, by decpt
     decpt if 0 < decpt <= 16 else 17 - decpt if -4 < decpt <= 0 else 21 + (abs(decpt - 1) >= 100)
     for decpt in range(_DECPT_MIN, _DECPT_MAX + 1)
@@ -154,7 +158,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, k
 
 
-def _chunk_bytes(values: np.ndarray, tail: np.ndarray, keep_table: np.ndarray) -> np.ndarray:
+def _chunk_bytes(values: np.ndarray) -> np.ndarray:
     """The text of each value followed by the separator, as one byte array."""
     f, k = _shortest(values.view(_U64))
     length = np.searchsorted(_POW10, f, side="right")  # decimal digits of f
@@ -166,7 +170,7 @@ def _chunk_bytes(values: np.ndarray, tail: np.ndarray, keep_table: np.ndarray) -
     low = (rest - high * _U64(10**8)).astype(np.uint32)
     quads = high // 10_000, high % 10_000, low // 10_000, low % 10_000
 
-    rows = np.empty((f.size, _SEP // 8 + tail.size), dtype=_U64)
+    rows = np.empty((f.size, _SEP // 8 + 1), dtype=_U64)
     rows[:, 0] = np.take(_ZEROS_AND_LEAD, lead)
     rows[:, 3] = np.take(_DOT_AND_LEAD, lead)
     quad_words = rows.view(np.uint32)
@@ -174,30 +178,21 @@ def _chunk_bytes(values: np.ndarray, tail: np.ndarray, keep_table: np.ndarray) -
         quad_words[:, 2 + i] = quad_words[:, 8 + i] = np.take(_QUADS, quad)
     decpt_at = decpt - _DECPT_MIN
     rows[:, 6] = np.take(_EXPONENTS, decpt_at)
-    rows[:, _SEP // 8 :] = tail
+    rows[:, _SEP // 8] = _SEPARATOR_WORD
 
     # Trailing zeros of the 16 digits after the lead, quad by quad from the left.
     zeros = np.take(_QUAD_ZEROS, quads[0])
     for quad in quads[1:]:
         zeros = np.where(quad == 0, zeros + 4, np.take(_QUAD_ZEROS, quad))
     code = np.take(_LAYOUT_ROW, decpt_at) + (_DIGITS - zeros)
-    return rows.view(np.uint8)[np.take(keep_table, code, axis=0)]
+    return rows.view(np.uint8)[np.take(_KEEP, code, axis=0)]
 
 
-def join_reprs(values: np.ndarray, sep: str) -> str:
-    """``sep.join(map(repr, values.tolist()))`` for nonempty, finite, positive float64 values.
+def join_reprs(values: np.ndarray) -> str:
+    """``",\n    ".join(map(repr, values.tolist()))`` for nonempty, finite, positive float64 values.
 
-    ``sep`` must be ASCII.  Values outside that domain give undefined text.
+    Values outside that domain give undefined text.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    sep_bytes = sep.encode("ascii")
-    tail = _words([sep_bytes[i : i + 8].decode() for i in range(0, len(sep_bytes), 8)], _U64)
-    keep_table = np.zeros((_KEEP.shape[0], _SEP + 8 * tail.size), dtype=bool)
-    keep_table[:, :_SEP] = _KEEP
-    keep_table[:, _SEP : _SEP + len(sep_bytes)] = True
-    pieces = [
-        _chunk_bytes(values[i : i + _CHUNK], tail, keep_table)
-        for i in range(0, values.size, _CHUNK)
-    ]
-    joined = np.concatenate(pieces)
-    return joined[: joined.size - len(sep_bytes)].tobytes().decode("ascii")
+    joined = np.concatenate([_chunk_bytes(values[i : i + _CHUNK]) for i in range(0, values.size, _CHUNK)])
+    return joined[: joined.size - len(_SEPARATOR)].tobytes().decode("ascii")

@@ -162,8 +162,8 @@ def _plan_json(plan: AllocationPlan) -> str:
     ``lambda`` are single reprs.
     """
     text = [
-        '{\n  "r": [\n    ', join_reprs(plan.r, ",\n    "),
-        '\n  ],\n  "b": [\n    ', join_reprs(plan.b, ",\n    "),
+        '{\n  "r": [\n    ', join_reprs(plan.r),
+        '\n  ],\n  "b": [\n    ', join_reprs(plan.b),
         f'\n  ],\n  "method": "{plan.method.value}",\n  "total_cost": {plan.total_cost!r}',
     ]
     if plan.lam is not None:

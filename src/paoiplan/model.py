@@ -224,21 +224,23 @@ class AllocationPlan:
     def validate_for(self, scenario: Scenario) -> None:
         """Raise ValueError unless the plan is consistent with ``scenario``.
 
-        The package's one plan check.  Checks, in this order, the sensor
-        count, strict service-rate dominance (``mu_i * r_i > theta_i``),
-        that the shares sum to at most ``budget * (1 + 1e-9)``, that
-        ``total_cost`` is within 1e-9 relative of the recomputed
-        cost-weighted delay sum, and that every queue is stable
-        (``mu_i * r_i * b_i > 1``).  A per-sensor failure names the first
-        failing sensor.
+        The package's one plan check, and the only one between a plan and
+        the simulator.  Checks, in this order, the sensor count, strict
+        service-rate dominance (``mu_i * r_i > theta_i``), that the shares
+        exceed the budget by at most 1e-9 of it, that ``total_cost`` is
+        within 1e-9 relative of the recomputed cost-weighted delay sum, and
+        that every queue is stable with a load inside the floats
+        (``1 < mu_i * r_i * b_i < inf``).  A per-sensor failure names the
+        first failing sensor.  Every ``b_i`` is finite and positive, so a
+        plan that passes has a finite positive rate ``mu_i * r_i`` too.
         """
         if self.n != scenario.n:
             raise ValueError(f"plan covers {self.n} sensors, scenario has {scenario.n}")
         # Products past the floats come out inf: the cost check refuses an
-        # infinite delay cost, and simulate_sensor an infinite nu or nu*b.
+        # infinite delay cost, and the load check an infinite nu or nu*b.
         with np.errstate(over="ignore"):
             rates = scenario.mu * self.r
-            unstable = np.flatnonzero(~(rates * self.b > 1.0))
+            loads = rates * self.b
             recomputed = scenario.delay_cost(self.b)
         dominated = np.flatnonzero(rates <= scenario.theta)
         if dominated.size:
@@ -247,16 +249,21 @@ class AllocationPlan:
                 f"sensor {i}: service rate {rates[i]:.6g} does not exceed "
                 f"outage exponent {scenario.theta[i]:.6g}"
             )
+        # Written as a difference, so a bound near the largest float cannot
+        # overflow; an infinite share sum still fails it.
         total_share = _fsum(self.r)
-        if total_share > scenario.budget * (1.0 + _BUDGET_RTOL):
+        if total_share - scenario.budget > _BUDGET_RTOL * scenario.budget:
             raise ValueError(f"shares sum to {total_share:.12g}, above budget {scenario.budget:.12g}")
         if not (recomputed < math.inf and abs(self.total_cost - recomputed) <= _COST_RTOL * recomputed):
             raise ValueError(
                 f"total_cost {self.total_cost!r} does not match recomputed value {recomputed!r}"
             )
-        if unstable.size:
-            i = int(unstable[0])
-            raise ValueError(f"sensor {i}: nu*b = {rates[i] * self.b[i]:.6g} <= 1, so its queue is unstable")
+        refused = np.flatnonzero(~((loads > 1.0) & (loads < math.inf)))
+        if refused.size:
+            i = int(refused[0])
+            if loads[i] == math.inf:
+                raise ValueError(f"sensor {i}: nu*b = {rates[i]:.6g} * {self.b[i]:.6g} is past the floats")
+            raise ValueError(f"sensor {i}: nu*b = {loads[i]:.6g} <= 1, so its queue is unstable")
 
 
 def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=None) -> AllocationPlan:
@@ -270,26 +277,33 @@ def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=N
     weight ``cost/theta`` overflows) gives a NaN delay.  ``AllocationPlan``
     refuses all three, blaming its own ``b``; the refusal is raised again
     naming the first sensor whose delay is not a finite positive number,
-    and the cause, so a plan that passes costs no extra check.  A share or
-    a delay cost past the floats is inf, which the plan refuses as it is.
+    and the cause, so a plan that passes costs no extra check.  Where the
+    delays are fine but their cost-weighted sum passes the floats, the
+    refusal names the sensor with the largest ``cost * b``.  A share past
+    the floats is inf, which the plan refuses as it is.  Runs inside its
+    caller's numpy error scope, which must ignore overflow and division
+    by zero.
     """
     mu, theta, min_share = scenario.mu, scenario.theta, scenario._min_share
-    with np.errstate(divide="ignore", over="ignore"):
-        delays = np.log1p(theta / (mu * headroom)) / theta
-        shares, total_cost = min_share + headroom, scenario.delay_cost(delays)
+    delays = np.log1p(theta / (mu * headroom)) / theta
+    shares, total_cost = min_share + headroom, scenario.delay_cost(delays)
     try:
         return AllocationPlan(shares, delays, method, total_cost, lam)
     except ValueError:
         unrepresentable = np.flatnonzero(~((delays > 0.0) & (delays < math.inf)))
-        if not unrepresentable.size:
-            raise
-        i = int(unrepresentable[0])
-        if delays[i] == math.inf:
-            reason = "its headroom above theta/mu cannot be represented in floats"
-        elif delays[i] == 0.0:
-            reason = "its sampling delay underflows to 0 in floats"
+        if unrepresentable.size:
+            i = int(unrepresentable[0])
+            if delays[i] == math.inf:
+                reason = "its headroom above theta/mu cannot be represented in floats"
+            elif delays[i] == 0.0:
+                reason = "its sampling delay underflows to 0 in floats"
+            else:
+                reason = "its headroom above theta/mu is not a number in floats"
+        elif total_cost == math.inf:
+            i = int(np.argmax(scenario.cost * delays))
+            reason = "the cost-weighted delay sum passes the floats, and its cost*b is the largest"
         else:
-            reason = "its headroom above theta/mu is not a number in floats"
+            raise
         raise ValueError(f"sensor {i}: {reason}") from None
 
 

@@ -17,9 +17,12 @@ the decay exponent that the planner promised.
 
 A plan's sensors run concurrently, one thread per CPU up to the number of
 sensors, each on its own random substream, so the results are identical to
-simulating them in sensor order.  Threads overlap only while numpy runs
-without the interpreter lock, and each numpy call takes the lock back, so
-the scan keeps its calls few: about 40 array calls a chunk, about 360 for
+simulating them in sensor order.  ``simulate_plan`` checks the plan once,
+with ``AllocationPlan.validate_for``, and no sensor again after that;
+``simulate_sensor``, whose rate and delay come straight from its caller,
+checks them itself.  Threads overlap only while numpy runs without the
+interpreter lock, and each numpy call takes the lock back, so the scan
+keeps its calls few: about 40 array calls a chunk, about 360 for
 a 1M-sample sensor with its warm-up.  (A loop over 4096-sample blocks made
 about 1 700, and two threads running it spent more time passing the lock
 than they saved.)  A sensor's samples are one array in a private anonymous
@@ -340,23 +343,23 @@ def simulate_plan(
     later one, so a call holds one map per worker, not per sensor; the maps
     are released when the call returns.  Results are ordered by sensor
     index, deterministic per seed, and identical to ``simulate_sensor`` on
-    each sensor in turn.  Raises ValueError as ``plan.validate_for`` does,
-    an unstable queue included.  An error in a sensor's simulation is
-    raised unchanged, from the lowest failing sensor.
+    each sensor in turn.  The plan is checked once, by
+    ``plan.validate_for``, with no per-sensor check after it: raises
+    ValueError as it does, for an unstable queue or a ``nu*b`` past the
+    floats included.  An error in a sensor's simulation (peak ages past
+    the floats) is raised unchanged, from the lowest failing sensor.
     """
     # Deferred: concurrent.futures imports logging, which nothing else in a
     # fresh `import paoiplan` needs.
     from concurrent.futures import ThreadPoolExecutor
 
     plan.validate_for(scenario)
-    with np.errstate(over="ignore"):  # an infinite rate is refused by _rate_and_delay
-        nu = scenario.mu * plan.r
+    nu = scenario.mu * plan.r  # validate_for checked 1 < nu*b < inf, so nu is finite too
     count = _WARMUP + config.num_samples
     # Every sensor draws count samples, so one map per worker fits them all.
     maps = threading.local()
 
     def simulate(stream: int, nu_i: float, b_i: float) -> TailEstimate:
-        nu_i, b_i = _rate_and_delay(nu_i, b_i)
         if not hasattr(maps, "times"):
             maps.times = _sample_array(count)
         return _simulate(maps.times, nu_i, b_i, config, stream)

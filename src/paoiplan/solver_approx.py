@@ -12,8 +12,6 @@ load 0.5, 2.4e-2 at 0.9, 8e-4 at 0.99 and 5e-12 at 1 - 1e-6, at 1e3 and
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .feasibility import feasible_slack
@@ -36,13 +34,8 @@ def solve_approx(scenario: Scenario) -> AllocationPlan:
         raise ValueError(
             "every cost/theta underflows to 0: the closed form has no weights to split the slack"
         )
-    # No weight exceeds the total, so where total*ratio is finite no headroom
-    # overflows.  Elsewhere (ratio is 0 where total is inf) the headroom may
-    # hold inf or inf*0 = NaN, which the plan refuses naming the sensor.
-    ratio = slack / total
-    if 0.0 < ratio and total * ratio < math.inf:
-        headroom = weights * ratio
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            headroom = weights * ratio
-    return _plan_from_headroom(scenario, headroom, SolveMethod.APPROX)
+    # One scope for the headroom and the plan.  Where slack/total or a weight
+    # is past the floats (slack/total is 0 where total is inf), the headroom
+    # may hold inf or inf*0 = NaN, which the plan refuses naming the sensor.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _plan_from_headroom(scenario, weights * (slack / total), SolveMethod.APPROX)

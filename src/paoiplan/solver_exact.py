@@ -91,9 +91,11 @@ def solve_exact(scenario: Scenario) -> AllocationPlan:
     no allocation can dominate every exponent, ConvergenceError when a
     Newton step leaves the finite floats or the step cap is reached.
     """
-    # One scope for every headroom: q*s past the floats (and 0*inf) stops Newton, which names s.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # One scope for every headroom and the plan: q*s past the floats (and
+    # 0*inf) stops Newton, which names s, and a delay past the floats is
+    # refused by the plan, naming its sensor.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lam, s, headroom = _find_multiplier(scenario, feasible_slack(scenario))
         if 1.0 / lam != s:  # 1/(1/s) rounds away from s: the plan is at 1/lam, not at s
             headroom = scenario._headroom(1.0 / lam)
-    return _plan_from_headroom(scenario, headroom, SolveMethod.EXACT, lam)
+        return _plan_from_headroom(scenario, headroom, SolveMethod.EXACT, lam)

@@ -50,6 +50,26 @@ def grid_min_cost_two_sensor(scenario: Scenario, step: float = 1e-5) -> float:
     return float(total.min())
 
 
+def dual_bound(scenario: Scenario, s: float) -> float:
+    """The Lagrange dual ``g(s)`` of the planning problem at multiplier ``1/s``.
+
+    By weak duality ``g(s)`` is at most the cost of every plan whose shares
+    fit the budget, for every ``s > 0``.  Written in each sensor's headroom
+    ``h`` above ``theta/mu``, whose delay is ``b(h) = log1p(theta/(mu*h))/theta``:
+    ``g(s) = sum(cost*b(h(s))) + (sum(h(s)) - slack)/s``, where ``h(s)``
+    minimises ``cost*b(h) + h/s`` sensor by sensor.  Setting its derivative
+    to 0 gives ``h*(h + theta/mu) = s*cost/mu``; the positive root is
+    taken in its rationalised form, with no cancellation.  The budget term
+    is written over the slack: ``(sum(r) - budget)/s`` cancels near full load.
+    """
+    min_share = scenario.theta / scenario.mu
+    slack = scenario.budget - math.fsum(min_share.tolist())
+    k = s * scenario.cost / scenario.mu
+    h = 2.0 * k / (min_share + np.sqrt(min_share**2 + 4.0 * k))
+    delays = np.log1p(min_share / h) / scenario.theta
+    return math.fsum((scenario.cost * delays).tolist()) + (math.fsum(h.tolist()) - slack) / s
+
+
 def customer_order(count: int) -> np.ndarray:
     """Positions of ``count`` samples in the order ``sim._peak_ages`` serves them.
 

@@ -167,8 +167,11 @@ WEIGHT_TOTAL_PAST_THE_FLOATS = {"budget": 3.0, "sensors": [{"mu": 1, "cost": 1.7
 SLACK_SHARE_PAST_THE_FLOATS = {"budget": 1e300, "sensors": [
     {"mu": 1, "cost": 5e-324, "theta": 1}, {"mu": 1, "cost": 5e-324, "theta": 1e10},
 ]}
-# mu*r overflows: the plan passes validate_for, and simulate refuses its rate.
+# mu*r overflows: validate_for refuses the plan.
 RATE_PAST_THE_FLOATS = {"budget": 1e10, "sensors": [{"mu": 1e300, "cost": 1, "theta": 1e299}]}
+# The closed form's share is the budget, 1.5e308, and its delay about 4.6e-309,
+# both finite, but mu*r is inf, so mu*r*b is too: validate_for refuses the plan.
+LOAD_PAST_THE_FLOATS_PLAN = {"budget": 1.5e308, "sensors": [{"mu": 2, "cost": 1.5e308, "theta": 1.5e308}]}
 # The closed form's delay costs are about 1.3e308 each: their sum passes the floats.
 DELAY_COST_PAST_THE_FLOATS = {"budget": 2.5, "sensors": [{"mu": 1, "cost": 8e307, "theta": 1}] * 2}
 # At the largest budget the closed form's headroom (weight*slack/total) and
@@ -209,13 +212,19 @@ def test_solve_exits_3_with_one_error_line_where_newton_leaves_the_floats(
 @pytest.mark.parametrize("payload,message", [
     (SLACK_SHARE_PAST_THE_FLOATS, "sensor 0: its sampling delay underflows to 0 in floats"),
     (WEIGHT_TOTAL_PAST_THE_FLOATS, "sensor 0: its headroom above theta/mu cannot be represented"),
-    (DELAY_COST_PAST_THE_FLOATS, "AllocationPlan.total_cost must be finite"),
+    (DELAY_COST_PAST_THE_FLOATS,
+     "sensor 0: the cost-weighted delay sum passes the floats, and its cost*b is the largest"),
+    (LOAD_PAST_THE_FLOATS_PLAN, "sensor 0: nu*b = inf * 4.62098e-309 is past the floats"),
+    # The budget bound is a difference, so it holds at the largest budget.
+    (SHARE_SUM_PAST_THE_FLOATS, "shares sum to inf, above budget 1.79769313486e+308"),
 ])
 def test_approx_exits_1_with_one_error_line_where_its_plan_leaves_the_floats(
-    scenario_file, capsys, payload, message
+    scenario_file, tmp_path, capsys, payload, message
 ):
-    assert cli.main(["approx", scenario_file(payload)]) == 1
+    out = tmp_path / "plan.json"
+    assert cli.main(["approx", scenario_file(payload), "--out", str(out)]) == 1
     _one_error_line(capsys.readouterr(), message)
+    assert not out.exists()
 
 
 # Every field and the budget: log-uniform over the positive floats, or at an edge of them.
@@ -257,6 +266,7 @@ def workdir(tmp_path_factory):
 @example(**HEADROOM_PAST_THE_FLOATS)
 @example(**SHARE_PAST_THE_FLOATS)
 @example(**SHARE_SUM_PAST_THE_FLOATS)
+@example(**LOAD_PAST_THE_FLOATS_PLAN)
 def test_every_command_exits_with_its_code_and_at_most_one_error_line(workdir, sensors, budget):
     # Warnings are errors under pytest, so a numpy warning fails this test.
     scenario = workdir / "scenario.json"
@@ -268,7 +278,11 @@ def test_every_command_exits_with_its_code_and_at_most_one_error_line(workdir, s
         code, out, err = _run([command, str(scenario), "--out", str(plan)])
         _exits_cleanly(code, out, err)
         if code == 0 and len(sensors) <= 2:
-            _exits_cleanly(*_run(["simulate", str(scenario), str(plan), "--samples", "1000"]))
+            # A written plan has passed validate_for, which simulate runs
+            # again: only the peak ages may refuse it, never the plan check.
+            code, out, err = _run(["simulate", str(scenario), str(plan), "--samples", "1000"])
+            _exits_cleanly(code, out, err)
+            assert code == 0 or err.startswith("error: peak ages overflow the floats at "), err
 
 
 class TestSchemaValidation:
@@ -522,7 +536,16 @@ class TestSimulateRoundTrip:
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"r": [1e10], "b": [1.0], "method": "approx", "total_cost": 1.0}))
         assert cli.main(["simulate", scenario_file(RATE_PAST_THE_FLOATS), str(plan_path)]) == 1
-        _one_error_line(capsys.readouterr(), "service rate must be finite and positive, got inf")
+        _one_error_line(capsys.readouterr(), "sensor 0: nu*b = inf * 1 is past the floats")
+
+    def test_plan_whose_load_passes_the_floats_exits_1(self, scenario_file, tmp_path, capsys):
+        # The plan approx refuses to write, written by hand: simulate's plan check refuses it.
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            {"r": [1.5e308], "b": [4.62098e-309], "method": "approx", "total_cost": 1.5e308 * 4.62098e-309}
+        ))
+        assert cli.main(["simulate", scenario_file(LOAD_PAST_THE_FLOATS_PLAN), str(plan_path)]) == 1
+        _one_error_line(capsys.readouterr(), "sensor 0: nu*b = inf * 4.62098e-309 is past the floats")
 
     def test_delay_cost_past_the_floats_matches_no_total_cost(self, scenario_file, tmp_path, capsys):
         # cost*b = 1e310 is inf, and |1e308 - inf| <= 1e-9 * inf held.

@@ -196,6 +196,15 @@ class TestAllocationPlan:
                                          method=SolveMethod.EXACT, total_cost=1.0)
         over_by_one_ulp.validate_for(large)
 
+    def test_validate_for_caps_the_shares_at_the_largest_budget(self):
+        # There budget * (1 + 1e-9) is inf; the bound is a difference, so a
+        # share sum past the floats is still refused.
+        largest = 1.7976931348623157e308
+        scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(1, 1), budget=largest)
+        plan = AllocationPlan(r=(largest, largest), b=(1.0, 1.0), method=SolveMethod.APPROX, total_cost=2.0)
+        with pytest.raises(ValueError, match="^shares sum to inf, above budget 1.79769313486e\\+308$"):
+            plan.validate_for(scenario)
+
     def test_validate_for_accepts_total_cost_at_12_significant_digits(self):
         scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(0.25, 0.25))
         plan = solve_exact(scenario)

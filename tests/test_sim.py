@@ -57,6 +57,19 @@ def reference_peak_ages(times: np.ndarray, b: float, wait: float = 0.0) -> tuple
     return placed, u
 
 
+def extended_peak_ages(times: np.ndarray, b: float) -> np.ndarray:
+    # The peak ages from a wait of 0 in np.longdouble, at their samples'
+    # positions: Q - min(0, earlier Q) + 2b for Q the prefix sums of T - b,
+    # taken over all the customers, in the order _peak_ages serves them, at
+    # once.
+    order = customer_order(times.size)
+    sums = np.cumsum(times[order].astype(np.longdouble) - np.longdouble(b))
+    low = np.minimum.accumulate(np.concatenate((np.zeros(1, np.longdouble), sums[:-1])))
+    placed = np.empty(times.size, dtype=np.longdouble)
+    placed[order] = sums - low + 2 * np.longdouble(b)
+    return placed
+
+
 def minimum_peak_ages(times: np.ndarray, b: float) -> np.ndarray:
     # _peak_ages with np.minimum and np.minimum.accumulate for the prefix
     # minimum, kept to pin np.fmin to the same bits.
@@ -273,17 +286,22 @@ class TestBlockedRecursion:
         _peak_ages(times, nu_b)
         np.testing.assert_allclose(times, expected, rtol=1e-10, atol=0.0)
 
-    def test_matches_scalar_loop_in_heavy_traffic(self):
-        # At nu*b = 1.01 the scalar loop itself drifts: its backlog runs to
-        # hundreds over busy periods of thousands of customers, and each step
-        # rounds at that size.  On these draws it is 3.2e-10 off an 80-bit
-        # run of the same loop, where the scan is 1.6e-12 off.  Over the
-        # draws of seeds 1-8 the two differed by up to 3.1e-10 (1.5e-10 with
-        # the 16384-sample block loop); the bound is that, rounded up.
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant < 63, reason="np.longdouble is no wider than float64 here"
+    )
+    def test_matches_an_extended_precision_scan_in_heavy_traffic(self):
+        # At nu*b = 1.01 the float64 scalar loop drifts (its backlog runs to
+        # hundreds over busy periods of thousands of customers, and each
+        # step rounds at that size): on these draws it is 3.2e-10 off, so
+        # the reference is the same formula in 80-bit floats, run as one
+        # whole-array prefix sum and prefix minimum.  It agrees with an
+        # 80-bit scalar loop within 6.7e-14.  The scan is 1.6e-12 off it
+        # here, and up to 3.6e-12 over the draws of seeds 1-8 at nu*b = 1.01
+        # and 1.05; the bound is that, rounded up.
         times = exponential_times(1.0, 1_000_001, seed=1)
-        expected, _ = reference_peak_ages(times, 1.01)
+        expected = extended_peak_ages(times, 1.01)
         _peak_ages(times, 1.01)
-        np.testing.assert_allclose(times, expected, rtol=5e-10, atol=0.0)
+        np.testing.assert_allclose(times, expected, rtol=5e-12, atol=0.0)
 
     @pytest.mark.parametrize("nan_at", [None, 2 * _CHUNK_COLUMNS + 100, _CHUNK + 100, 2 * _CHUNK - 1])
     @pytest.mark.parametrize("nu_b", [1.05, 1.3, 4.0])
@@ -628,26 +646,33 @@ class TestSimulatePlan:
         ]
 
     def test_worker_error_reaches_the_caller_from_the_lowest_failing_sensor(self):
-        # Sensors 1 and 2 pass validate_for and nu*b > 1, but nu*b overflows.
-        scenario = Scenario.from_arrays(mu=(1, 1e300, 1e300), cost=(1, 1, 1), theta=(0.25, 0.25, 0.25))
-        b = (4.0, 1e10, 1e20)
-        plan = AllocationPlan(
-            r=(0.4, 0.3, 0.3), b=b, method=SolveMethod.EXACT, total_cost=scenario.delay_cost(b)
+        # Sensors 1 and 2 pass validate_for (nu*b = 3 and 4.5), but their
+        # peak ages, about b = 1e308 and up, pass the floats in the worker.
+        # Their delays differ, so their messages name which one was raised.
+        scenario = Scenario.from_arrays(
+            mu=(1, 1e-307, 1e-307), cost=(1, 1e-10, 1e-10), theta=(0.25, 1e-308, 1e-308)
         )
-        with pytest.raises(ValueError, match="nu\\*b must be finite") as direct:
-            simulate_sensor(1e300 * 0.3, 1e10, SimConfig(num_samples=1000), stream=1)
+        r, b = (0.4, 0.3, 0.3), (4.0, 1e308, 1.5e308)
+        plan = AllocationPlan(r=r, b=b, method=SolveMethod.EXACT, total_cost=scenario.delay_cost(b))
+        plan.validate_for(scenario)
+        nu = (scenario.mu * plan.r).tolist()
+        with pytest.raises(ValueError, match="peak ages overflow the floats") as direct:
+            simulate_sensor(nu[1], b[1], SimConfig(num_samples=1000), stream=1)
+        with pytest.raises(ValueError, match="b=1.5e\\+308"):
+            simulate_sensor(nu[2], b[2], SimConfig(num_samples=1000), stream=2)
         with pytest.raises(ValueError) as raised:
             simulate_plan(scenario, plan, SimConfig(num_samples=1000))
         assert str(raised.value) == str(direct.value)
+        assert str(raised.value) == "peak ages overflow the floats at nu=2.9999999999999997e-308, b=1e+308"
 
     def test_a_refused_sensor_makes_no_map(self, monkeypatch):
-        # The sensor passes validate_for, but its nu*b overflows: the worker
-        # refuses it before it makes a map.
+        # The sensor's nu*b overflows: validate_for refuses the plan before
+        # any worker makes a map.
         made = []
         monkeypatch.setattr(sim, "_sample_array", lambda count: made.append(count))
         scenario = Scenario.from_arrays(mu=(1e300,), cost=(1,), theta=(0.25,))
         plan = AllocationPlan(r=(1.0,), b=(1e10,), method=SolveMethod.EXACT, total_cost=1e10)
-        with pytest.raises(ValueError, match="nu\\*b must be finite"):
+        with pytest.raises(ValueError, match="^sensor 0: nu\\*b = 1e\\+300 \\* 1e\\+10 is past the floats$"):
             simulate_plan(scenario, plan, SimConfig(num_samples=1000))
         assert made == []
 
