@@ -21,6 +21,10 @@ alone.  The plan is built from the headroom at ``1/lam``, where ``lam =
 ``s`` (about 87% of the fig3 scenarios), that is the headroom Newton's last
 step evaluated, and it is reused; elsewhere it is evaluated once more at
 ``1/lam``.
+
+Each step's two sums, the headroom total and the slope sum, are correctly
+rounded (``model._fsum``), as is every sum in the kernel, so the iterates,
+the multiplier and the plan do not depend on the order of the sensors.
 """
 from __future__ import annotations
 
@@ -54,7 +58,7 @@ def allocation_at_lambda(scenario: Scenario, lam: float) -> np.ndarray:
 
 def residual(scenario: Scenario, lam: float) -> float:
     """Budget residual ``sum(r_i(lam)) - budget``; strictly decreasing in ``lam``."""
-    return float(math.fsum(allocation_at_lambda(scenario, lam).tolist()) - scenario.budget)
+    return _fsum(allocation_at_lambda(scenario, lam)) - scenario.budget
 
 
 def _find_multiplier(scenario: Scenario, slack: float) -> tuple[float, float, np.ndarray]:
@@ -62,10 +66,12 @@ def _find_multiplier(scenario: Scenario, slack: float) -> tuple[float, float, np
     # the concave g lies above it, so each Newton step lands at or below the
     # root; in floats the iterates stop rising once they reach it.  The step
     # from s = 0 takes g = 0 and the slope sum(cost/theta) from the kernel:
-    # the headroom at 0 gives those same bits wherever q is finite.  A slope
-    # sum that is not positive (every slope underflowing to 0, or an
-    # infinite headroom's) ends the search instead of dividing by it, and
-    # a step past the floats ends it before the headroom is evaluated there.
+    # the headroom at 0 gives those same bits wherever q is finite.  Both
+    # sums per step are _fsum's, correctly rounded in any sensor order, like
+    # the kernel's.  A slope sum that is not positive (every slope
+    # underflowing to 0, or an infinite headroom's) ends the search instead
+    # of dividing by it, and a step past the floats ends it before the
+    # headroom is evaluated there.
     # Returns lam = 1/s with the last s and the headroom evaluated there.
     s, gap, slope_sum = 0.0, slack, scenario._weight_total
     for _ in range(_MAX_NEWTON_STEPS):
@@ -76,7 +82,7 @@ def _find_multiplier(scenario: Scenario, slack: float) -> tuple[float, float, np
             break
         s = next_s
         headroom, slope = scenario._headroom(s, with_slope=True)
-        gap, slope_sum = slack - _fsum(headroom), float(slope.sum())
+        gap, slope_sum = slack - _fsum(headroom), _fsum(slope)
     raise ConvergenceError(
         f"Newton on 1/lambda stopped at s={s!r} without meeting the budget slack {slack!r}"
     )

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -70,6 +71,30 @@ def dual_bound(scenario: Scenario, s: float) -> float:
     return math.fsum((scenario.cost * delays).tolist()) + (math.fsum(h.tolist()) - slack) / s
 
 
+def reference_closed_form(scenario: Scenario) -> tuple[list[Decimal], list[Decimal], Decimal]:
+    """The closed-form plan's shares, delays and total cost, at 40 digits.
+
+    Independent of the package: the float inputs are taken as the exact
+    rationals they are, and every step is carried in ``Decimal`` at 40
+    significant digits, which is far below a float's last place.  The steps
+    are the closed form's: the slack ``budget - sum(theta/mu)``, the weights
+    ``w = cost/theta`` and their total ``W``, the headroom
+    ``h = w*slack/W``, the share ``theta/mu + h``, the delay
+    ``b = ln(1 + theta/(mu*h))/theta`` and the cost ``sum(cost*b)``.
+    """
+    with localcontext() as context:
+        context.prec = 40
+        mu, cost, theta = ([Decimal(x) for x in v.tolist()] for v in (scenario.mu, scenario.cost, scenario.theta))
+        min_share = [t / m for t, m in zip(theta, mu)]
+        slack = Decimal(scenario.budget) - sum(min_share)
+        weights = [c / t for c, t in zip(cost, theta)]
+        total = sum(weights)
+        headroom = [w * slack / total for w in weights]
+        shares = [m + h for m, h in zip(min_share, headroom)]
+        delays = [(1 + t / (m * h)).ln() / t for m, t, h in zip(mu, theta, headroom)]
+        return shares, delays, sum(c * b for c, b in zip(cost, delays))
+
+
 def customer_order(count: int) -> np.ndarray:
     """Positions of ``count`` samples in the order ``sim._peak_ages`` serves them.
 
@@ -106,8 +131,9 @@ def plan_to_dict(plan: AllocationPlan) -> dict:
 
 # A frozen copy of both planners as they stood before their per-sensor
 # constants were kept on the scenario: every constant is recomputed from
-# mu, cost and theta at each use, in the same operation order.  The
-# package's plans must equal these bit for bit.
+# mu, cost and theta at each use, in the same operation order.  Its sums
+# follow the package's one summation rule, a correctly rounded math.fsum,
+# in lockstep with it.  The package's plans must equal these bit for bit.
 
 
 def frozen_headroom(scenario: Scenario, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +146,7 @@ def frozen_find_multiplier(scenario: Scenario, slack: float) -> float:
     s = 0.0
     for _ in range(100):
         headroom, slope = frozen_headroom(scenario, s)
-        next_s = s + (slack - math.fsum(headroom.tolist())) / float(np.sum(slope))
+        next_s = s + (slack - math.fsum(headroom.tolist())) / math.fsum(slope.tolist())
         if not next_s > s:
             assert s > 0.0 and math.isfinite(next_s)
             return 1.0 / s
@@ -150,7 +176,7 @@ def frozen_solve_exact(scenario: Scenario) -> AllocationPlan:
 def frozen_solve_approx(scenario: Scenario) -> AllocationPlan:
     slack = _frozen_slack(scenario)
     weights = scenario.cost / scenario.theta
-    headroom = weights * (slack / float(np.sum(weights)))
+    headroom = weights * (slack / math.fsum(weights.tolist()))
     return _frozen_plan(scenario, headroom, SolveMethod.APPROX)
 
 

@@ -180,6 +180,8 @@ DELAY_COST_PAST_THE_FLOATS = {"budget": 2.5, "sensors": [{"mu": 1, "cost": 8e307
 HEADROOM_PAST_THE_FLOATS = {"budget": 1.7976931348623157e308, "sensors": [
     {"mu": 1.0, "cost": 1.7976931348623157e308, "theta": 1e119},
 ]}
+# Newton meets the slack, but the exact plan's share theta/mu + headroom rounds
+# past the floats; the closed form's share does not.
 SHARE_PAST_THE_FLOATS = {"budget": 1.7976931348623157e308, "sensors": [
     {"mu": 1.8731774735900533e-298, "cost": 8.379351312905775e235, "theta": 1.0},
 ]}
@@ -223,6 +225,18 @@ def test_approx_exits_1_with_one_error_line_where_its_plan_leaves_the_floats(
 ):
     out = tmp_path / "plan.json"
     assert cli.main(["approx", scenario_file(payload), "--out", str(out)]) == 1
+    _one_error_line(capsys.readouterr(), message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload,message", [
+    (SHARE_PAST_THE_FLOATS, "sensor 0: its share theta/mu + headroom passes the floats"),
+])
+def test_solve_exits_1_with_one_error_line_where_its_plan_leaves_the_floats(
+    scenario_file, tmp_path, capsys, payload, message
+):
+    out = tmp_path / "plan.json"
+    assert cli.main(["solve", scenario_file(payload), "--out", str(out)]) == 1
     _one_error_line(capsys.readouterr(), message)
     assert not out.exists()
 

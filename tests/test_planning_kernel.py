@@ -19,7 +19,7 @@ from helpers import (
     frozen_solve_exact,
     scenario_at_load,
 )
-from paoiplan import ConvergenceError, Scenario, check_feasibility, solve_approx, solve_exact
+from paoiplan import ConvergenceError, Scenario, check_feasibility, model, solve_approx, solve_exact
 from paoiplan.cli import _plan_json, main
 from paoiplan.experiments import fig3_scenario
 from paoiplan.feasibility import feasible_slack
@@ -192,3 +192,35 @@ def test_exact_plan_reuses_newtons_last_headroom_where_1_over_lam_is_s(monkeypat
     monkeypatch.setattr(helpers, "frozen_headroom", frozen_counted)
     _assert_same_bits(solve_exact(scenario), frozen_solve_exact(scenario))
     assert counts["package"] == counts["frozen"] - (2 if reused else 1)
+
+
+def _fsum_inputs(n: int, rng: np.random.Generator) -> dict:
+    plan = solve_approx(scenario_at_load(3 * n, 0.9, rng))
+    return {
+        "random": rng.uniform(0.1, 1.0, n),
+        "subnormal": rng.integers(1, 2**52, n).astype(float) * 5e-324,
+        "mixed exponents": 10.0 ** rng.uniform(-300.0, 300.0, n),
+        "frozen plan row": plan.r[:n],
+        "strided view": plan.b[::3],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, model._FSUM_BUFFER_FROM - 1, model._FSUM_BUFFER_FROM, 1000])
+def test_fsum_reads_the_buffer_and_the_list_to_the_same_bits(n):
+    # _fsum reads the buffer from _FSUM_BUFFER_FROM values up and a list
+    # below: either way it is the correctly rounded sum, in any order.
+    rng = np.random.default_rng([11, n])
+    for name, values in _fsum_inputs(n, rng).items():
+        assert values.size == n, name
+        expected = math.fsum(values.tolist())
+        assert math.fsum(values.data) == expected, name
+        assert model._fsum(values) == expected, name
+        assert model._fsum(values[rng.permutation(n)]) == expected, name
+
+
+@pytest.mark.parametrize("n", [2, model._FSUM_BUFFER_FROM - 1, model._FSUM_BUFFER_FROM, 1000])
+def test_fsum_is_inf_past_the_floats_and_nan_with_a_nan(n):
+    assert model._fsum(np.full(n, 1e308)) == math.inf
+    assert model._fsum(np.array([math.inf] + [1.0] * (n - 1))) == math.inf
+    assert math.isnan(model._fsum(np.array([math.nan] + [1.0] * (n - 1))))
+    assert math.isnan(model._fsum(np.array([math.inf] * (n - 1) + [math.nan])))

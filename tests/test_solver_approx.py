@@ -1,9 +1,10 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from helpers import random_feasible_scenario, scenario_at_load
+from helpers import random_feasible_scenario, reference_closed_form, scenario_at_load
 from paoiplan import (
     InfeasibleScenarioError,
     Scenario,
@@ -105,3 +106,34 @@ def test_unrepresentable_headroom_is_refused_naming_the_sensor(solve):
     scenario = Scenario.from_arrays(mu=(1, 1), cost=(1e200, 1e-200), theta=(0.25, 0.25))
     with pytest.raises(ValueError, match="sensor 1: its headroom above theta/mu cannot be represented"):
         solve(scenario)
+
+
+def _ulps(got: float, reference: Decimal) -> float:
+    return float(abs(Decimal(got) - reference) / Decimal(math.ulp(got)))
+
+
+# The worst error of each field against the 40-digit closed form, in units in
+# the last place of the plan's value, over 200 draws per load at n = 2, 10
+# and 200 (seeds [5, n, load * 1e6, draw]), rounded up.  Nearer full load the
+# rounded slack budget - sum(theta/mu) sets the error, not the planner: the
+# delays and the cost read up to about 7e4 ulp at 1 - 1e-6, so those loads
+# are left out.
+CLOSED_FORM_ULPS = {  # load: (r, b, total_cost)
+    0.2: (3.0, 4.0, 3.0),
+    0.5: (3.0, 5.0, 3.0),
+    0.9: (7.0, 7.0, 4.0),
+    0.99: (20.0, 25.0, 21.0),
+}
+
+
+@pytest.mark.parametrize("load", sorted(CLOSED_FORM_ULPS))
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_closed_form_is_within_its_ulp_bound_of_a_40_digit_reference(n, load):
+    bound_r, bound_b, bound_cost = CLOSED_FORM_ULPS[load]
+    for draw in range(5):
+        scenario = scenario_at_load(n, load, np.random.default_rng([5, n, round(load * 1e6), draw]))
+        plan = solve_approx(scenario)
+        shares, delays, total_cost = reference_closed_form(scenario)
+        assert max(map(_ulps, plan.r.tolist(), shares)) <= bound_r, draw
+        assert max(map(_ulps, plan.b.tolist(), delays)) <= bound_b, draw
+        assert _ulps(plan.total_cost, total_cost) <= bound_cost, draw
