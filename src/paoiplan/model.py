@@ -32,10 +32,6 @@ import numpy as np
 
 _BUDGET_RTOL = 1e-9  # validate_for: shares may exceed the budget by rounding, relative to it
 _COST_RTOL = 1e-9  # validate_for: a total_cost written at 12 significant digits still matches
-# _fsum: below this many values math.fsum is faster on a list than on the
-# array's buffer.  Measured with Python 3.11: even at about 24-28 values, the
-# buffer 10-25% faster at 64 and 30% faster at 1e5.
-_FSUM_BUFFER_FROM = 32
 
 
 def _positive_vector(label: str, values) -> np.ndarray:
@@ -73,13 +69,13 @@ def _fsum(values: np.ndarray) -> float:
     The planning kernel's one summation rule: the load, the closed form's
     weight total, Newton's headroom gap and slope sum, the residual, every
     plan cost and the share sum all come from here, so none of them
-    depends on the sensors' order.  ``math.fsum`` reads the array's buffer
-    from ``_FSUM_BUFFER_FROM`` values up and a list of Python floats below;
-    both give the same bits.  A sum past the floats is inf, as its
-    rounding would be; a NaN entry gives NaN.
+    depends on the sensors' order.  ``math.fsum`` reads the array's buffer,
+    which gives the same bits as a list of its values without building
+    one.  A sum past the floats is inf, as its rounding would be; a NaN
+    entry gives NaN.
     """
     try:
-        return math.fsum(values.data if values.size >= _FSUM_BUFFER_FROM else values.tolist())
+        return math.fsum(values.data)
     except OverflowError:
         return math.inf
 

@@ -211,32 +211,21 @@ def test_solve_exits_3_with_one_error_line_where_newton_leaves_the_floats(
     _one_error_line(capsys.readouterr(), f"Newton on 1/lambda stopped at {where}")
 
 
-@pytest.mark.parametrize("payload,message", [
-    (SLACK_SHARE_PAST_THE_FLOATS, "sensor 0: its sampling delay underflows to 0 in floats"),
-    (WEIGHT_TOTAL_PAST_THE_FLOATS, "sensor 0: its headroom above theta/mu cannot be represented"),
-    (DELAY_COST_PAST_THE_FLOATS,
+@pytest.mark.parametrize("command,payload,message", [
+    ("approx", SLACK_SHARE_PAST_THE_FLOATS, "sensor 0: its sampling delay underflows to 0 in floats"),
+    ("approx", WEIGHT_TOTAL_PAST_THE_FLOATS, "sensor 0: its headroom above theta/mu cannot be represented"),
+    ("approx", DELAY_COST_PAST_THE_FLOATS,
      "sensor 0: the cost-weighted delay sum passes the floats, and its cost*b is the largest"),
-    (LOAD_PAST_THE_FLOATS_PLAN, "sensor 0: nu*b = inf * 4.62098e-309 is past the floats"),
+    ("approx", LOAD_PAST_THE_FLOATS_PLAN, "sensor 0: nu*b = inf * 4.62098e-309 is past the floats"),
     # The budget bound is a difference, so it holds at the largest budget.
-    (SHARE_SUM_PAST_THE_FLOATS, "shares sum to inf, above budget 1.79769313486e+308"),
+    ("approx", SHARE_SUM_PAST_THE_FLOATS, "shares sum to inf, above budget 1.79769313486e+308"),
+    ("solve", SHARE_PAST_THE_FLOATS, "sensor 0: its share theta/mu + headroom passes the floats"),
 ])
-def test_approx_exits_1_with_one_error_line_where_its_plan_leaves_the_floats(
-    scenario_file, tmp_path, capsys, payload, message
+def test_planner_exits_1_with_one_error_line_where_its_plan_leaves_the_floats(
+    scenario_file, tmp_path, capsys, command, payload, message
 ):
     out = tmp_path / "plan.json"
-    assert cli.main(["approx", scenario_file(payload), "--out", str(out)]) == 1
-    _one_error_line(capsys.readouterr(), message)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("payload,message", [
-    (SHARE_PAST_THE_FLOATS, "sensor 0: its share theta/mu + headroom passes the floats"),
-])
-def test_solve_exits_1_with_one_error_line_where_its_plan_leaves_the_floats(
-    scenario_file, tmp_path, capsys, payload, message
-):
-    out = tmp_path / "plan.json"
-    assert cli.main(["solve", scenario_file(payload), "--out", str(out)]) == 1
+    assert cli.main([command, scenario_file(payload), "--out", str(out)]) == 1
     _one_error_line(capsys.readouterr(), message)
     assert not out.exists()
 

@@ -205,20 +205,19 @@ def _fsum_inputs(n: int, rng: np.random.Generator) -> dict:
     }
 
 
-@pytest.mark.parametrize("n", [1, 2, model._FSUM_BUFFER_FROM - 1, model._FSUM_BUFFER_FROM, 1000])
-def test_fsum_reads_the_buffer_and_the_list_to_the_same_bits(n):
-    # _fsum reads the buffer from _FSUM_BUFFER_FROM values up and a list
-    # below: either way it is the correctly rounded sum, in any order.
+@pytest.mark.parametrize("n", [1, 2, 8, 1000])
+def test_fsum_reads_the_buffer_to_the_bits_of_the_list_in_any_order(n):
+    # _fsum reads the array's buffer: it is the correctly rounded sum of the
+    # values as a list, in any order, strided views included.
     rng = np.random.default_rng([11, n])
     for name, values in _fsum_inputs(n, rng).items():
         assert values.size == n, name
         expected = math.fsum(values.tolist())
-        assert math.fsum(values.data) == expected, name
         assert model._fsum(values) == expected, name
         assert model._fsum(values[rng.permutation(n)]) == expected, name
 
 
-@pytest.mark.parametrize("n", [2, model._FSUM_BUFFER_FROM - 1, model._FSUM_BUFFER_FROM, 1000])
+@pytest.mark.parametrize("n", [2, 8, 1000])
 def test_fsum_is_inf_past_the_floats_and_nan_with_a_nan(n):
     assert model._fsum(np.full(n, 1e308)) == math.inf
     assert model._fsum(np.array([math.inf] + [1.0] * (n - 1))) == math.inf
