@@ -2,18 +2,25 @@
 
 Each sensor is simulated as a periodically sampled FCFS single-server
 queue: samples are taken every ``b`` time units and queue for transmission,
-service times are i.i.d. exponential.  The peak age recorded at each
-delivery is the delivery time minus the previous sample's generation time.
-The queue runs as Lindley's recursion on the waiting time, evaluated as a
-two-level prefix scan (prefix sums, then prefix minima) over chunks of
-16 x 8192 samples.  The service times are i.i.d., so serving the
-customers in any fixed order gives an equally valid queue: a chunk is a
-C-contiguous (16, 8192) array served column by column, which makes each
-level of the scan one numpy call per row.  The first 10 000 draws are a
-warm-up, served as their own (16, 625) chunk, whose peaks are discarded.
-The empirical complementary CDF of the kept peaks is fitted on a log scale
-between their 0.90 and 0.999 quantiles, and the negated slope estimates
-the decay exponent that the planner promised.
+service times are i.i.d. exponential: numpy's ziggurat
+``standard_exponential`` draws divided by the rate.  The peak age recorded
+at each delivery is the delivery time minus the previous sample's
+generation time.  The queue runs as Lindley's recursion on the waiting
+time, evaluated as a two-level prefix scan (prefix sums, then prefix
+minima) over chunks of 16 x 8192 samples.  The service times are i.i.d.,
+so serving the customers in any fixed order gives an equally valid queue:
+a chunk is a C-contiguous (16, 8192) array served column by column, which
+makes each level of the scan one numpy call per row.  The first 10 000
+draws are a warm-up, served as their own (16, 625) chunk, whose peaks are
+discarded.  The empirical complementary CDF of the n kept peaks is fitted
+on a log scale between their order statistics floor((n - 1)*0.90) and
+floor((n - 1)*0.999), and the negated slope estimates the decay exponent
+that the planner promised.  No numpy transcendental loop reaches an
+estimate: the ziggurat is scalar code, the scan and the fit take sums,
+products, quotients and minima, which round the same at every
+vector-unit level numpy dispatches, and the fit's logs are scalar
+``math.log``.  So the same inputs give the same estimate with numpy's
+AVX-512 loops on or off.
 
 A plan's sensors run concurrently, one thread per CPU up to the number of
 sensors, each on its own random substream, so the results are identical to
@@ -173,21 +180,6 @@ def _peak_ages(times: np.ndarray, b: float, wait: float = 0.0) -> float:
     return wait
 
 
-def _quantile(upper: np.ndarray, k: int, q: float) -> float:
-    # np.quantile(ages, q) bit for bit, read from upper, the sorted order
-    # statistics k to n - 1 of the n ages, for a q whose virtual index
-    # (n - 1)*q is at least k.  numpy's default linear method reads
-    # statistics j and j + 1 at that index and interpolates between them as
-    # its _lerp does; from index n - 1 on it returns the maximum.
-    n = k + upper.size
-    index = (n - 1) * q
-    if index < n - 1:
-        j = math.floor(index)
-        a, b, t = float(upper[j - k]), float(upper[j - k + 1]), index - j
-        return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
-    return float(upper[-1])
-
-
 def _fit_tail(
     ages: np.ndarray, lo_quantile: float, hi_quantile: float
 ) -> tuple[tuple[tuple[float, float], ...], float | None, float | None, str | None]:
@@ -195,25 +187,25 @@ def _fit_tail(
     # quantile's, and sorts the part from k on (about 1 - lo_quantile of
     # them) in place, so take any summary whose rounding depends on the
     # order (the mean) before.  Partitioning at one kth stays on numpy's
-    # fast path.  The sorted part holds both quantiles and every grid count:
-    # the interpolation puts x_lo at or above statistic k, so the samples
-    # below k reach no grid point, except copies of x_lo when it is that
-    # statistic itself (t = 0, or ties).  np.linspace ends the grid at x_hi
-    # exactly, and a collapsed window is the one point x_lo = x_hi, so the
-    # last count is the samples at or above x_hi.
+    # fast path.  The window's ends are the order statistics
+    # k = floor((n - 1)*lo_quantile) and j = floor((n - 1)*hi_quantile) of
+    # the n ages, so the sorted part holds both ends and every grid count:
+    # the samples below k reach no grid point, except copies of x_lo, the
+    # statistic k itself.  np.linspace ends the grid at x_hi exactly, and a
+    # collapsed window is the one point x_lo = x_hi, so the last count is
+    # the samples at or above x_hi.
     n = ages.size
-    k = min(math.floor((n - 1) * lo_quantile), n - 1)
+    k, j = (math.floor((n - 1) * q) for q in (lo_quantile, hi_quantile))
     ages.partition(k)
     upper = ages[k:]
     upper.sort()
-    x_lo, x_hi = _quantile(upper, k, lo_quantile), _quantile(upper, k, hi_quantile)
+    x_lo, x_hi = float(upper[0]), float(upper[j - k])
     if x_hi > x_lo:
         grid = np.linspace(x_lo, x_hi, _FIT_GRID_POINTS)
     else:
         grid = np.array([x_lo])
     counts = upper.size - np.searchsorted(upper, grid, side="left")
-    if x_lo == upper[0]:
-        counts[grid == x_lo] += np.count_nonzero(ages[:k] == x_lo)
+    counts[grid == x_lo] += np.count_nonzero(ages[:k] == x_lo)
     ccdf = counts / n
     points = tuple((float(x), float(p)) for x, p in zip(grid, ccdf))
 
@@ -232,7 +224,10 @@ def _fit_tail(
             f"quantile and {np.unique(xs).size} usable grid points (need {_MIN_FIT_POINTS})"
         )
 
-    ys = np.log(ccdf[usable])
+    # At most 50 logs, taken with the platform's scalar log: np.log's
+    # AVX-512 loop rounds some of them differently (3 of the 10 000 values
+    # k/1e5 up to 0.1), which can move the fit's last bits.
+    ys = np.array([math.log(p) for p in ccdf[usable].tolist()])
     x_bar, y_bar = xs.mean(), ys.mean()
     sxx = float(np.sum((xs - x_bar) ** 2))
     if not 0.0 < sxx < math.inf:
@@ -283,11 +278,8 @@ def _simulate(times: np.ndarray, nu: float, b: float, config: SimConfig, stream:
     # only, so times can serve the next sensor as soon as this returns.
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, stream)))
     with np.errstate(over="ignore", invalid="ignore"):
-        # -log1p(-u)/nu, evaluated in place: sign flips are exact, so the
-        # values are the same as the out-of-place expression.
-        rng.random(out=times)
-        np.log1p(np.negative(times, out=times), out=times)
-        times /= -nu
+        rng.standard_exponential(out=times)
+        times /= nu
         # The warm-up is its own (16, 625) chunk, so the kept peaks are
         # the contiguous rest of the samples.
         wait = _peak_ages(times[:_WARMUP], b)
@@ -312,10 +304,13 @@ def _simulate(times: np.ndarray, nu: float, b: float, config: SimConfig, stream:
 def simulate_sensor(nu: float, b: float, config: SimConfig, *, stream: int = 0) -> TailEstimate:
     """Simulate one sensor and estimate its peak-age tail exponent.
 
-    Draws ``_WARMUP + num_samples`` exponential(rate ``nu``) service times by
-    inverse transform from a substream selected by ``(config.seed, stream)``,
-    runs the FCFS delivery recursion, discards the warm-up peaks, and fits
-    the tail over the 0.90-0.999 quantile window.  The customers are served
+    Draws ``_WARMUP + num_samples`` exponential(rate ``nu``) service times,
+    standard exponentials from a substream selected by
+    ``(config.seed, stream)`` divided by ``nu``, runs the FCFS delivery
+    recursion, discards the warm-up peaks, and fits the tail between the
+    order statistics ``floor((n - 1)*0.90)`` and ``floor((n - 1)*0.999)``
+    of the ``n`` kept peaks.  The output does not depend on which of
+    numpy's vector-unit loops the CPU dispatches.  The customers are served
     in chunk order, not draw order: the warm-up draws form one chunk and
     the kept draws chunks of up to 16 x 8192, each read as a C-contiguous
     ``(16, width)`` array whose customer ``s*16 + i`` is element ``[i, s]``

@@ -1,3 +1,4 @@
+import json
 import math
 import mmap
 import os
@@ -98,11 +99,12 @@ def minimum_peak_ages(times: np.ndarray, b: float) -> np.ndarray:
 
 
 def reference_fit_tail(ages, lo_quantile, hi_quantile):
-    # The fit over a full sort of the samples.
+    # The fit over a full sort of the samples, between the order statistics
+    # floor((n - 1)*q): np.quantile's "lower" method.
     sorted_ages = np.sort(ages)
     n = sorted_ages.size
-    x_lo = float(np.quantile(sorted_ages, lo_quantile))
-    x_hi = float(np.quantile(sorted_ages, hi_quantile))
+    x_lo = float(np.quantile(sorted_ages, lo_quantile, method="lower"))
+    x_hi = float(np.quantile(sorted_ages, hi_quantile, method="lower"))
     if x_hi > x_lo:
         grid = np.linspace(x_lo, x_hi, 50)
     else:
@@ -119,7 +121,7 @@ def reference_fit_tail(ages, lo_quantile, hi_quantile):
             f"quantile and {np.unique(xs).size} usable grid points (need 10)"
         )
 
-    ys = np.log(ccdf[usable])
+    ys = np.array([math.log(p) for p in ccdf[usable].tolist()])
     x_bar, y_bar = xs.mean(), ys.mean()
     sxx = float(np.sum((xs - x_bar) ** 2))
     slope = float(np.sum((xs - x_bar) * (ys - y_bar)) / sxx)
@@ -208,7 +210,7 @@ class TestDeliveryRecursion:
             config = SimConfig(num_samples=num_samples, seed=seed)
             estimate = simulate_sensor(nu, b, config, stream=stream)
             rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
-            times = -np.log1p(-rng.random(_WARMUP + num_samples)) / nu
+            times = rng.standard_exponential(_WARMUP + num_samples) / nu
             _, wait = reference_peak_ages(times[:_WARMUP], b)
             expected, _ = reference_peak_ages(times[_WARMUP:], b, wait)
             kept = times[_WARMUP:]
@@ -345,10 +347,11 @@ class TestFitTailIdentity:
     ])
     def test_quantiles_match_numpy_bit_for_bit(self, size, lo, hi):
         # Fixed windows for the full-sort oracle, which its random ones never
-        # reach: both interpolation branches, index 0, and from index n - 1
-        # on the maximum.  The window's ends are np.quantile's bit for bit.
+        # reach: statistic 0, a virtual index (n - 1)*q on a statistic and
+        # between two, and from index n - 1 on the maximum.  The window's
+        # ends are np.quantile's "lower" order statistics bit for bit.
         ages = 1.0 + np.random.default_rng(size).exponential(1.0, size)
-        window = tuple(np.quantile(ages, (lo, hi)).tolist())
+        window = tuple(np.quantile(ages, (lo, hi), method="lower").tolist())
         expected = reference_fit_tail(ages, lo, hi)
         fit = _fit_tail(ages, lo, hi)
         assert fit == expected
@@ -367,9 +370,9 @@ class TestFitTailIdentity:
 
     @pytest.mark.parametrize("lo", [0.5, 5 / 12])
     def test_tail_counts_ties_on_both_sides_of_the_lower_statistic(self, lo):
-        # Sorted: 1, 2, 2, 2, 2, 3, 4.  At lo = 0.5 the virtual index is 3
-        # (t = 0); at 5/12 it is 2.5 between two equal statistics.  Either
-        # way x_lo = 2, and the 2s below statistic k_lo belong to the tail.
+        # Sorted: 1, 2, 2, 2, 2, 3, 4.  At lo = 0.5 the virtual index is 3,
+        # and at 5/12 it is 2.5, so x_lo is statistic 3 or 2.  Either way
+        # x_lo = 2, and the 2s below statistic k belong to the tail.
         ages = np.array([3.0, 2.0, 1.0, 2.0, 2.0, 4.0, 2.0])
         expected = reference_fit_tail(ages, lo, 0.9)
         fit = _fit_tail(ages, lo, 0.9)
@@ -472,11 +475,17 @@ class TestTailEstimate:
         assert p0 == 1.0
 
     def test_degenerate_window_reports_fit_error(self):
-        config = SimConfig(num_samples=1000, seed=3)
-        estimate = simulate_sensor(1.0, 3.0, config)
-        assert estimate.fitted_exponent is None
-        assert estimate.stderr is None
-        assert "degenerate fit window" in estimate.fit_error
+        # The window's upper end is statistic j = floor((n - 1)*0.999), so
+        # distinct peaks put n - j samples at or above it: 9 at n = 8 001,
+        # and the 10 the fit needs from n = 8 002.
+        degenerate, fitted = (simulate_sensor(1.0, 3.0, SimConfig(n, seed=3)) for n in (8001, 8002))
+        assert degenerate.fitted_exponent is None
+        assert degenerate.stderr is None
+        assert degenerate.fit_error == (
+            "degenerate fit window: 9 samples at or above the upper quantile"
+            " and 50 usable grid points (need 10)"
+        )
+        assert fitted.fit_error is None and fitted.fitted_exponent > 0.0
 
     @pytest.mark.parametrize("k", [600, -600, 990, -990])
     def test_fit_at_any_float_scale_is_the_unit_fit_rescaled(self, k):
@@ -684,3 +693,42 @@ def test_import_does_not_load_concurrent_futures():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_simulate_bytes_do_not_depend_on_the_vector_units(tmp_path):
+    # `paoiplan simulate` writes the same JSON and CCDF bytes with numpy's
+    # AVX-512 loops disabled: the draw, the scan and the fit use only
+    # operations that round the same at every dispatch level, and scalar
+    # math.log.  Sensor 0 (nu = 1, b = 1.1, 100 000 samples, seed 5) gave
+    # other bytes when the draw took np.log1p of uniform variates, and
+    # sensor 2 (nu = 1, b = 1.98) when the fit took np.log of its CCDF.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    levels = [
+        name for name in umath.__cpu_dispatch__
+        if (name == "X86_V4" or name.startswith("AVX512")) and umath.__cpu_features__.get(name)
+    ]
+    if not levels:
+        pytest.skip("numpy dispatches no AVX-512 level on this CPU")
+    scenario, plan = tmp_path / "scenario.json", tmp_path / "plan.json"
+    scenario.write_text(json.dumps({"sensors": [{"mu": mu, "cost": 1, "theta": 0.1} for mu in (4, 28, 4)]}))
+    plan.write_text(json.dumps({"r": [0.25] * 3, "b": [1.1, 0.2, 1.98], "method": "exact", "total_cost": 3.28}))
+    # The child checks that the levels it was asked to disable are off.
+    code = (
+        "import os, sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "from paoiplan.cli import main\n"
+        "assert not any(__cpu_features__[name] for name in os.environ.get('NPY_DISABLE_CPU_FEATURES', '').split())\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(paoiplan.__file__).resolve().parents[1]))
+    outputs = []
+    for disabled in ("", " ".join(levels)):
+        ccdf = tmp_path / f"ccdf{len(outputs)}.csv"
+        argv = ["simulate", str(scenario), str(plan), "--samples", "100000", "--seed", "5", "--ccdf", str(ccdf)]
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=dict(env, NPY_DISABLE_CPU_FEATURES=disabled),
+            capture_output=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append((result.stdout, ccdf.read_bytes()))
+    assert outputs[1] == outputs[0]
