@@ -233,7 +233,7 @@ def _cmd_simulate(args) -> int:
     _emit([asdict(e) for e in estimates])
     if args.ccdf:
         _write_csv(args.ccdf, ("sensor_index", "x", "ccdf", "ln_ccdf"), (
-            (index, x, p, math.log(p) if p > 0.0 else -math.inf)
+            (index, x, p, math.log(p))
             for index, estimate in enumerate(estimates)
             for x, p in estimate.ccdf_points
         ))

@@ -13,9 +13,10 @@ computed from ``mu``, ``cost``, ``theta`` and ``budget`` when the scenario
 is built.  They are the minimum shares ``theta/mu``, the load
 ``sum(theta/mu)`` and the slack ``budget - load``, the closed form's
 weights ``cost/theta`` and their total, and, for the exact planner,
-``q = 4*cost*mu/theta**2`` and ``theta/(2*mu)``, from which
-``Scenario._headroom`` gives the headroom above the minimum shares and its
-slope at ``s = 1/lam``.  No planning path recomputes them.
+``q = 4*(cost/theta)/(theta/mu)``, formed from the weights and minimum
+shares (never ``cost*mu`` or ``theta**2``), and ``theta/(2*mu)``, from
+which ``Scenario._headroom`` gives the headroom above the minimum shares
+and its slope at ``s = 1/lam``.  No planning path recomputes them.
 
 Every sum the kernel and the planners take goes through ``_fsum`` and is
 correctly rounded, so it does not depend on the order of the sensors:
@@ -146,11 +147,11 @@ class Scenario:
         # comes out inf, 0 or NaN with no warning: an infinite theta/mu makes
         # the load infinite, which the feasibility test refuses; an infinite
         # cost/theta or weight total makes the closed form refuse its plan;
-        # a q of 0, inf or NaN (theta**2 or cost*mu past the floats) stops
-        # the root-find, which names where.
+        # a q of 0, inf or NaN (cost/theta over theta/mu past the floats, or
+        # either of them) stops the root-find, which names where.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             min_share, weight = self.theta / self.mu, self.cost / self.theta
-            root_constants = 4.0 * self.cost * self.mu / self.theta**2, self.theta / (2.0 * self.mu)
+            root_constants = 4.0 * (weight / min_share), self.theta / (2.0 * self.mu)
         # slack > 0 is load < budget in IEEE arithmetic: the difference of two
         # unequal floats never rounds to 0, and an infinite load gives -inf.
         load = _fsum(min_share)
@@ -182,15 +183,19 @@ class Scenario:
 
         The stationarity condition ``mu*lam*r**2 - theta*lam*r - cost = 0``
         has one positive root, ``(theta/mu) * (1 + sqrt(1 + q*s)) / 2``.  Its
-        headroom ``(theta/(2*mu)) * (sqrt(1 + q*s) - 1)`` is written with
-        expm1/log1p so that it keeps full relative precision when ``q*s`` is
-        tiny (very large multipliers, or a scenario at the feasibility
-        boundary); the slope is ``(cost/theta) / sqrt(1 + q*s)``.
+        headroom ``(theta/(2*mu)) * (sqrt(1 + q*s) - 1)`` is written in the
+        rationalised form ``(theta/(2*mu)) * q*s / (1 + sqrt(1 + q*s))``,
+        which does not cancel when ``q*s`` is tiny (very large multipliers,
+        or a scenario at the feasibility boundary); the slope is
+        ``(cost/theta) / sqrt(1 + q*s)``.  One sqrt per call, and the rest
+        is IEEE arithmetic, so the result does not depend on numpy's vector
+        loops.
         """
         q, half_min_share = self._root_constants
-        sqrt_minus_one = np.expm1(0.5 * np.log1p(q * s))
-        headroom = half_min_share * sqrt_minus_one
-        return (headroom, self._weight / (1.0 + sqrt_minus_one)) if with_slope else headroom
+        qs = q * s
+        root = np.sqrt(1.0 + qs)
+        headroom = half_min_share * (qs / (1.0 + root))
+        return (headroom, self._weight / root) if with_slope else headroom
 
 
 class SolveMethod(str, Enum):

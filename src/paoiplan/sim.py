@@ -210,14 +210,13 @@ def _fit_tail(
     points = tuple((float(x), float(p)) for x, p in zip(grid, ccdf))
 
     tail_count = int(counts[-1])
-    usable = ccdf > 0.0
     # The regression runs on xs / scale, scale the power of two at or just
     # below x_hi, so its squared spread stays inside the floats whatever the
     # scale of the ages.  Dividing by a power of two is exact, and so is
     # every sum, product and square root after it, so the slope and stderr
     # divided by scale are the unscaled fit's bit for bit.
     scale = math.ldexp(1.0, math.frexp(x_hi)[1] - 1)
-    xs = grid[usable] / scale
+    xs = grid / scale
     if tail_count < _MIN_FIT_POINTS or np.unique(xs).size < _MIN_FIT_POINTS:
         return points, None, None, (
             f"degenerate fit window: {tail_count} samples at or above the upper "
@@ -226,12 +225,13 @@ def _fit_tail(
 
     # At most 50 logs, taken with the platform's scalar log: np.log's
     # AVX-512 loop rounds some of them differently (3 of the 10 000 values
-    # k/1e5 up to 0.1), which can move the fit's last bits.
-    ys = np.array([math.log(p) for p in ccdf[usable].tolist()])
+    # k/1e5 up to 0.1), which can move the fit's last bits.  Each ccdf value
+    # is positive: a grid point is at most x_hi, statistic j, so at least
+    # n - j >= 1 ages lie at or above it.  At least 10 distinct xs in (0, 2)
+    # give a finite positive spread sxx.
+    ys = np.array([math.log(p) for p in ccdf.tolist()])
     x_bar, y_bar = xs.mean(), ys.mean()
     sxx = float(np.sum((xs - x_bar) ** 2))
-    if not 0.0 < sxx < math.inf:
-        return points, None, None, f"fit window spread {sxx!r} is not a finite positive number"
     slope = float(np.sum((xs - x_bar) * (ys - y_bar)) / sxx)
     resid = ys - (y_bar + slope * (xs - x_bar))
     dof = xs.size - 2

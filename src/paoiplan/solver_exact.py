@@ -12,9 +12,9 @@ no evaluation: there every headroom is 0 and its slope is ``cost/theta``,
 so Newton starts at the closed form's ``s = slack/sum(cost/theta)``.
 
 Every headroom comes from the scenario's planning kernel (see ``model``):
-``q = 4*cost*mu/theta**2``, ``theta/(2*mu)`` and ``cost/theta`` are
+``q = 4*(cost/theta)/(theta/mu)``, ``theta/(2*mu)`` and ``cost/theta`` are
 computed once per scenario, not at each Newton step, so a step costs one
-log1p, one expm1 and a few products per sensor.  The Newton steps ask for
+sqrt and a few products and quotients per sensor.  The Newton steps ask for
 the headroom and its slope; ``allocation_at_lambda`` asks for the headroom
 alone.  The plan is built from the headroom at ``1/lam``, where ``lam =
 1/s`` for Newton's last iterate ``s``.  Where ``1/lam`` rounds back to
@@ -69,15 +69,18 @@ def _find_multiplier(scenario: Scenario, slack: float) -> tuple[float, float, np
     # the headroom at 0 gives those same bits wherever q is finite.  Both
     # sums per step are _fsum's, correctly rounded in any sensor order, like
     # the kernel's.  A slope sum that is not positive (every slope
-    # underflowing to 0, or an infinite headroom's) ends the search instead
-    # of dividing by it, and a step past the floats ends it before the
-    # headroom is evaluated there.
-    # Returns lam = 1/s with the last s and the headroom evaluated there.
+    # underflowing to 0, as it does where q*s passes the floats) ends the
+    # search instead of dividing by it, and a step past the floats ends it
+    # before the headroom is evaluated there.
+    # Returns lam = 1/s with the last s and the headroom evaluated there,
+    # and refuses an s so small that 1/s passes the floats.
     s, gap, slope_sum = 0.0, slack, scenario._weight_total
     for _ in range(_MAX_NEWTON_STEPS):
         next_s = s + gap / slope_sum if slope_sum > 0.0 else math.nan
         if not (s < next_s < math.inf):
             if s > 0.0 and math.isfinite(next_s):
+                if 1.0 / s == math.inf:
+                    raise ValueError(f"the budget multiplier lambda = 1/s passes the floats at s={s!r}")
                 return 1.0 / s, s, headroom
             break
         s = next_s
@@ -95,10 +98,12 @@ def solve_exact(scenario: Scenario) -> AllocationPlan:
     ``solve_approx``: shares sum to the budget up to rounding, each delay at
     its tail constraint's tight point.  Raises InfeasibleScenarioError when
     no allocation can dominate every exponent, ConvergenceError when a
-    Newton step leaves the finite floats or the step cap is reached.
+    Newton step leaves the finite floats or the step cap is reached, and
+    ValueError when the multiplier or the plan cannot be represented in
+    floats.
     """
     # One scope for every headroom and the plan: q*s past the floats (and
-    # 0*inf) stops Newton, which names s, and a delay past the floats is
+    # its inf/inf or 0*inf) stops Newton, which names s, and a delay past the floats is
     # refused by the plan, naming its sensor.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lam, s, headroom = _find_multiplier(scenario, feasible_slack(scenario))

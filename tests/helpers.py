@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
 import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 
+import paoiplan
 from paoiplan import AllocationPlan, ExponentResult, Scenario, SolveMethod, sim
 
 # One line per acceptance criterion, printed in the terminal summary.
@@ -71,7 +75,18 @@ def dual_bound(scenario: Scenario, s: float) -> float:
     return math.fsum((scenario.cost * delays).tolist()) + (math.fsum(h.tolist()) - slack) / s
 
 
-def reference_closed_form(scenario: Scenario) -> tuple[list[Decimal], list[Decimal], Decimal]:
+def _decimal_inputs(scenario: Scenario) -> tuple[list[Decimal], list[Decimal], list[Decimal]]:
+    return tuple([Decimal(x) for x in v.tolist()] for v in (scenario.mu, scenario.cost, scenario.theta))
+
+
+def _decimal_slack(scenario: Scenario, min_share: list[Decimal], slack: float | None) -> Decimal:
+    # The exact inputs' slack, or the float slack given, taken as the exact rational it is.
+    return Decimal(scenario.budget) - sum(min_share) if slack is None else Decimal(slack)
+
+
+def reference_closed_form(
+    scenario: Scenario, slack: float | None = None
+) -> tuple[list[Decimal], list[Decimal], Decimal]:
     """The closed-form plan's shares, delays and total cost, at 40 digits.
 
     Independent of the package: the float inputs are taken as the exact
@@ -80,19 +95,69 @@ def reference_closed_form(scenario: Scenario) -> tuple[list[Decimal], list[Decim
     are the closed form's: the slack ``budget - sum(theta/mu)``, the weights
     ``w = cost/theta`` and their total ``W``, the headroom
     ``h = w*slack/W``, the share ``theta/mu + h``, the delay
-    ``b = ln(1 + theta/(mu*h))/theta`` and the cost ``sum(cost*b)``.
+    ``b = ln(1 + theta/(mu*h))/theta`` and the cost ``sum(cost*b)``.  A
+    float ``slack`` (the package's rounded one) replaces the exact slack.
     """
     with localcontext() as context:
         context.prec = 40
-        mu, cost, theta = ([Decimal(x) for x in v.tolist()] for v in (scenario.mu, scenario.cost, scenario.theta))
+        mu, cost, theta = _decimal_inputs(scenario)
         min_share = [t / m for t, m in zip(theta, mu)]
-        slack = Decimal(scenario.budget) - sum(min_share)
+        slack = _decimal_slack(scenario, min_share, slack)
         weights = [c / t for c, t in zip(cost, theta)]
         total = sum(weights)
         headroom = [w * slack / total for w in weights]
         shares = [m + h for m, h in zip(min_share, headroom)]
         delays = [(1 + t / (m * h)).ln() / t for m, t, h in zip(mu, theta, headroom)]
         return shares, delays, sum(c * b for c, b in zip(cost, delays))
+
+
+def reference_exact(
+    scenario: Scenario, slack: float | None = None
+) -> tuple[list[Decimal], list[Decimal], Decimal, Decimal]:
+    """The exact plan's shares, delays, total cost and multiplier, to 40 digits.
+
+    Built as ``reference_closed_form`` is, from the exact inputs in
+    ``Decimal``, and independent of the package's float arithmetic.  The
+    multiplier solves ``g(s) = slack`` in ``s = 1/lambda``, where ``g(s)``
+    is the total headroom written as ``(theta/(2*mu))*(sqrt(1 + q*s) - 1)``
+    with ``q = 4*cost*mu/theta**2``: no expm1/log1p and no rationalised
+    root.  It is carried at 60 digits, so the cancellation in
+    ``sqrt(1 + q*s) - 1`` leaves 40 of them down to ``q*s = 1e-20``.  ``g``
+    is concave and increasing, so Newton's iterates from ``s = 0`` climb to
+    the root; a bracket of relative width 1e-40 around the last one
+    certifies it, whatever the iteration did.  The delays are
+    ``ln(1 + theta/(mu*h))/theta`` at that headroom.  A float ``slack``
+    (the package's rounded one, ``scenario._load_and_slack[1]``) replaces
+    the exact slack, so the plan's own error can be read apart from the
+    slack's.
+    """
+    with localcontext() as context:
+        context.prec = 60
+        mu, cost, theta = _decimal_inputs(scenario)
+        min_share = [t / m for t, m in zip(theta, mu)]
+        half = [m / 2 for m in min_share]
+        weights = [c / t for c, t in zip(cost, theta)]
+        q = [4 * c * m / (t * t) for c, m, t in zip(cost, mu, theta)]
+        slack = _decimal_slack(scenario, min_share, slack)
+
+        def headroom(s):
+            return [h * ((1 + qi * s).sqrt() - 1) for h, qi in zip(half, q)]
+
+        s, step = Decimal(0), slack / sum(weights)
+        while step > s * Decimal("1e-50"):
+            s += step
+            slope = sum(w / (1 + qi * s).sqrt() for w, qi in zip(weights, q))
+            step = (slack - sum(headroom(s))) / slope
+        assert sum(headroom(s * (1 - Decimal("1e-40")))) <= slack <= sum(headroom(s * (1 + Decimal("1e-40"))))
+        heads = headroom(s)
+        shares = [m + h for m, h in zip(min_share, heads)]
+        delays = [(1 + t / (m * h)).ln() / t for m, t, h in zip(mu, theta, heads)]
+        return shares, delays, sum(c * b for c, b in zip(cost, delays)), 1 / s
+
+
+def ulps(got: float, reference: Decimal) -> float:
+    """The distance from ``got`` to ``reference`` in units in the last place of ``got``."""
+    return float(abs(Decimal(got) - reference) / Decimal(math.ulp(got)))
 
 
 def customer_order(count: int) -> np.ndarray:
@@ -115,6 +180,35 @@ def customer_order(count: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def avx512_levels() -> list[str]:
+    """numpy's AVX-512 dispatch levels that this CPU runs: empty where it runs none."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return []
+    return [
+        name for name in __cpu_dispatch__
+        if (name == "X86_V4" or name.startswith("AVX512")) and __cpu_features__.get(name)
+    ]
+
+
+# The child checks that the levels it was asked to disable are off.
+_CLI_CHILD = (
+    "import os, sys\n"
+    "from numpy._core._multiarray_umath import __cpu_features__\n"
+    "from paoiplan.cli import main\n"
+    "assert not any(__cpu_features__[name] for name in os.environ.get('NPY_DISABLE_CPU_FEATURES', '').split())\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def run_cli(argv: list[str], disabled: str = "") -> subprocess.CompletedProcess:
+    """``paoiplan argv`` in a child interpreter, with numpy's dispatch levels ``disabled`` off."""
+    env = dict(os.environ, PYTHONPATH=str(Path(paoiplan.__file__).resolve().parents[1]),
+               NPY_DISABLE_CPU_FEATURES=disabled)
+    return subprocess.run([sys.executable, "-c", _CLI_CHILD, *argv], env=env, capture_output=True, timeout=120)
+
+
 def plan_to_dict(plan: AllocationPlan) -> dict:
     """A plan's file fields as a dict: ``json.dumps`` of it with ``indent=2`` is
     the reference for the bytes the CLI writes for the plan."""
@@ -133,13 +227,15 @@ def plan_to_dict(plan: AllocationPlan) -> dict:
 # constants were kept on the scenario: every constant is recomputed from
 # mu, cost and theta at each use, in the same operation order.  Its sums
 # follow the package's one summation rule, a correctly rounded math.fsum,
-# in lockstep with it.  The package's plans must equal these bit for bit.
+# and its headroom the rationalised quadratic root, in lockstep with it.
+# The package's plans must equal these bit for bit.
 
 
 def frozen_headroom(scenario: Scenario, s: float) -> tuple[np.ndarray, np.ndarray]:
     mu, cost, theta = scenario.mu, scenario.cost, scenario.theta
-    sqrt_minus_one = np.expm1(0.5 * np.log1p(4.0 * cost * mu / theta**2 * s))
-    return theta / (2.0 * mu) * sqrt_minus_one, cost / theta / (1.0 + sqrt_minus_one)
+    qs = 4.0 * (cost / theta / (theta / mu)) * s
+    root = np.sqrt(1.0 + qs)
+    return theta / (2.0 * mu) * (qs / (1.0 + root)), cost / theta / root
 
 
 def frozen_find_multiplier(scenario: Scenario, slack: float) -> float:

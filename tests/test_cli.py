@@ -9,7 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import paoiplan.cli as cli
-from helpers import plan_to_dict, scenario_at_load
+from helpers import (
+    avx512_levels,
+    plan_to_dict,
+    reference_closed_form,
+    reference_exact,
+    run_cli,
+    scenario_at_load,
+    ulps,
+)
 from paoiplan import AllocationPlan, SolveMethod, exponent_variational, solve_approx, solve_exact
 from paoiplan.experiments import fig2_sweep, fig3_sweep
 from paoiplan.solver_exact import ConvergenceError
@@ -155,8 +163,8 @@ class TestLoadPastTheFloats:
         _one_error_line(capsys.readouterr(), "required load inf is not strictly below budget 1")
 
 
-# q*s overflows at Newton's first step, and sensor 1's theta/(2*mu) underflows
-# to 0, so its headroom there is 0*inf.
+# q*s overflows at Newton's first step, so every headroom there is inf/inf,
+# and sensor 1's theta/(2*mu) underflows to 0 besides.
 Q_TIMES_S_PAST_THE_FLOATS = {"budget": 1.7e308, "sensors": [
     {"mu": 1e200, "cost": 0.3, "theta": 0.3}, {"mu": 1e300, "cost": 1.0, "theta": 1e-200},
 ]}
@@ -183,7 +191,19 @@ HEADROOM_PAST_THE_FLOATS = {"budget": 1.7976931348623157e308, "sensors": [
 # Newton meets the slack, but the exact plan's share theta/mu + headroom rounds
 # past the floats; the closed form's share does not.
 SHARE_PAST_THE_FLOATS = {"budget": 1.7976931348623157e308, "sensors": [
+    {"mu": 3.922160935068007e-170, "cost": 1.6355027925688198e177, "theta": 5.126667106072003e138},
+]}
+# At the largest budget both planners' share is the budget, and the plans
+# pass the plan check.
+SHARE_AT_THE_LARGEST_BUDGET = {"budget": 1.7976931348623157e308, "sensors": [
     {"mu": 1.8731774735900533e-298, "cost": 8.379351312905775e235, "theta": 1.0},
+]}
+# Newton meets the slack at s = 3.3203125e-309, where 1/s is inf.
+MULTIPLIER_PAST_THE_FLOATS = {"budget": 8.5, "sensors": [{"mu": 1, "cost": 2e307, "theta": 1}] * 8}
+# Feasible, but sensor 0's margin nu*b - 1, about theta/(2*nu) = 1.5e-100,
+# is below an ulp, so the exact plan's queue reads as unstable.
+MARGIN_BELOW_AN_ULP = {"budget": 1.0, "sensors": [
+    {"mu": 1e300, "cost": 1e300, "theta": 1e200}, {"mu": 1, "cost": 1, "theta": 0.5},
 ]}
 SHARE_SUM_PAST_THE_FLOATS = {"budget": 1.7976931348623157e308, "sensors": [
     {"mu": 5e-324, "cost": 5e-324, "theta": 5e-324},
@@ -192,11 +212,7 @@ SHARE_SUM_PAST_THE_FLOATS = {"budget": 1.7976931348623157e308, "sensors": [
 
 NEWTON_PAST_THE_FLOATS = [  # feasible, but q or a Newton step leaves the floats
     ({"budget": 1.0, "sensors": [{"mu": 1, "cost": 1, "theta": 1e-160}] * 2}, "s=5e-161 "),
-    ({"budget": 1.0, "sensors": [{"mu": 1e300, "cost": 1, "theta": 1e299}] * 2}, "s=4.0000000000000056e+300 "),
     ({"budget": 1e300, "sensors": [{"mu": 1, "cost": 1, "theta": 1e299}] * 2}, "s=0.0 "),
-    # cost*mu and theta**2 both overflow, so sensor 0's q is inf/inf.
-    ({"sensors": [{"mu": 1e300, "cost": 1e300, "theta": 1e200}, {"mu": 1, "cost": 1, "theta": 0.5}]},
-     "s=5e-101 "),
     (Q_TIMES_S_PAST_THE_FLOATS, "s=1.7e+108 "),
     (WEIGHT_TOTAL_PAST_THE_FLOATS, "s=0.0 "),
 ]
@@ -220,6 +236,8 @@ def test_solve_exits_3_with_one_error_line_where_newton_leaves_the_floats(
     # The budget bound is a difference, so it holds at the largest budget.
     ("approx", SHARE_SUM_PAST_THE_FLOATS, "shares sum to inf, above budget 1.79769313486e+308"),
     ("solve", SHARE_PAST_THE_FLOATS, "sensor 0: its share theta/mu + headroom passes the floats"),
+    ("solve", MULTIPLIER_PAST_THE_FLOATS, "the budget multiplier lambda = 1/s passes the floats at s=3.3203125e-309"),
+    ("solve", MARGIN_BELOW_AN_ULP, "sensor 0: nu*b = 1 <= 1, so its queue is unstable"),
 ])
 def test_planner_exits_1_with_one_error_line_where_its_plan_leaves_the_floats(
     scenario_file, tmp_path, capsys, command, payload, message
@@ -228,6 +246,57 @@ def test_planner_exits_1_with_one_error_line_where_its_plan_leaves_the_floats(
     assert cli.main([command, scenario_file(payload), "--out", str(out)]) == 1
     _one_error_line(capsys.readouterr(), message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload,exact_r,bound", [
+    ({"budget": 1.0, "sensors": [{"mu": 1e300, "cost": 1, "theta": 1e299}] * 2}, 0.5000000000000001, 3.0),
+    (SHARE_AT_THE_LARGEST_BUDGET, 1.7976931348623157e308, 1.0),
+])
+def test_both_planners_plan_within_the_references_at_the_edges_of_the_floats(
+    scenario_file, tmp_path, payload, exact_r, bound
+):
+    # Each written plan passes the plan check, and its delays, cost and
+    # multiplier are within bound ulps of the Decimal references fed the
+    # exact inputs' slack (measured: 2.7 and 0.7 at most).
+    path = scenario_file(payload)
+    scenario = cli.load_scenario(path)
+    for command, reference in (("solve", reference_exact), ("approx", reference_closed_form)):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, path, "--out", str(out)]) == 0
+        plan = cli.load_plan(str(out))
+        plan.validate_for(scenario)
+        shares, delays, total_cost, *lam = reference(scenario)
+        assert max(map(ulps, plan.r.tolist(), shares)) <= bound
+        assert max(map(ulps, plan.b.tolist(), delays)) <= bound
+        assert ulps(plan.total_cost, total_cost) <= bound
+        if command == "solve":
+            assert plan.r.tolist() == [exact_r] * scenario.n
+            assert ulps(plan.lam, lam[0]) <= bound
+
+
+def test_solve_share_bytes_do_not_depend_on_the_vector_units(tmp_path):
+    # `paoiplan solve` writes the same shares with numpy's AVX-512 loops
+    # disabled: the headroom is one sqrt per Newton step and IEEE
+    # arithmetic, which round the same at every dispatch level.  The
+    # expm1/log1p headroom gave other bits for 26 of these 1000 shares.  The
+    # delays b are not compared: they take np.log1p, whose AVX-512 loop
+    # rounds some inputs differently (41 of these 1000 delays, and 49 of
+    # the closed form's).
+    levels = avx512_levels()
+    if not levels:
+        pytest.skip("numpy dispatches no AVX-512 level on this CPU")
+    scenario = scenario_at_load(1000, 0.9, np.random.default_rng(9))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"sensors": [
+        {"mu": mu, "cost": cost, "theta": theta}
+        for mu, cost, theta in zip(scenario.mu.tolist(), scenario.cost.tolist(), scenario.theta.tolist())
+    ]}))
+    shares = []
+    for disabled in ("", " ".join(levels)):
+        result = run_cli(["solve", str(path)], disabled)
+        assert result.returncode == 0, result.stderr
+        shares.append(np.array(json.loads(result.stdout)["r"]).tobytes())
+    assert shares[1] == shares[0]
 
 
 # Every field and the budget: log-uniform over the positive floats, or at an edge of them.
@@ -268,6 +337,9 @@ def workdir(tmp_path_factory):
 @example(**DELAY_COST_PAST_THE_FLOATS)
 @example(**HEADROOM_PAST_THE_FLOATS)
 @example(**SHARE_PAST_THE_FLOATS)
+@example(**SHARE_AT_THE_LARGEST_BUDGET)
+@example(**MULTIPLIER_PAST_THE_FLOATS)
+@example(**MARGIN_BELOW_AN_ULP)
 @example(**SHARE_SUM_PAST_THE_FLOATS)
 @example(**LOAD_PAST_THE_FLOATS_PLAN)
 def test_every_command_exits_with_its_code_and_at_most_one_error_line(workdir, sensors, budget):

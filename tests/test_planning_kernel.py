@@ -89,7 +89,8 @@ def test_plan_file_bytes_match_the_frozen_planners():
 
 
 def _tiny_exponents() -> Scenario:
-    # theta**2 is 1e-320, a subnormal: q = 4*cost*mu/theta**2 overflows.
+    # theta**2 would be 1e-320, a subnormal; q = 4*(cost/theta)/(theta/mu)
+    # is 4e320, past the floats.
     return Scenario.from_arrays(mu=(1.0, 1.0), cost=(1.0, 1.0), theta=(1e-160, 1e-160))
 
 
@@ -105,12 +106,12 @@ def test_closed_form_and_feasibility_raise_no_warning_where_theta_squared_underf
         plan.validate_for(scenario)
 
 
-def test_exact_planner_still_fails_where_theta_squared_underflows():
+def test_exact_planner_still_fails_where_q_overflows():
     # q overflows to inf.  Newton's first step, from s = 0, lands on the
     # closed form's s = slack/sum(cost/theta), where every headroom is
-    # infinite and its slope 0, and stops there; the closed form plans
-    # this scenario, and a scale-symmetric kernel would let the exact
-    # planner plan it too.
+    # inf/inf, not a number, and its slope 0, and stops there; the closed
+    # form plans this scenario, and a scale-symmetric kernel would let the
+    # exact planner plan it too.
     with pytest.raises(ConvergenceError, match="stopped at s=5e-161 "):
         solve_exact(_tiny_exponents())
 

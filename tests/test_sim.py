@@ -36,7 +36,7 @@ from paoiplan.sim import (
     _peak_ages,
 )
 
-from helpers import customer_order
+from helpers import avx512_levels, customer_order, run_cli
 
 _CHUNK = _CHUNK_ROWS * _CHUNK_COLUMNS
 
@@ -702,33 +702,17 @@ def test_simulate_bytes_do_not_depend_on_the_vector_units(tmp_path):
     # math.log.  Sensor 0 (nu = 1, b = 1.1, 100 000 samples, seed 5) gave
     # other bytes when the draw took np.log1p of uniform variates, and
     # sensor 2 (nu = 1, b = 1.98) when the fit took np.log of its CCDF.
-    umath = pytest.importorskip("numpy._core._multiarray_umath")
-    levels = [
-        name for name in umath.__cpu_dispatch__
-        if (name == "X86_V4" or name.startswith("AVX512")) and umath.__cpu_features__.get(name)
-    ]
+    levels = avx512_levels()
     if not levels:
         pytest.skip("numpy dispatches no AVX-512 level on this CPU")
     scenario, plan = tmp_path / "scenario.json", tmp_path / "plan.json"
     scenario.write_text(json.dumps({"sensors": [{"mu": mu, "cost": 1, "theta": 0.1} for mu in (4, 28, 4)]}))
     plan.write_text(json.dumps({"r": [0.25] * 3, "b": [1.1, 0.2, 1.98], "method": "exact", "total_cost": 3.28}))
-    # The child checks that the levels it was asked to disable are off.
-    code = (
-        "import os, sys\n"
-        "from numpy._core._multiarray_umath import __cpu_features__\n"
-        "from paoiplan.cli import main\n"
-        "assert not any(__cpu_features__[name] for name in os.environ.get('NPY_DISABLE_CPU_FEATURES', '').split())\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(paoiplan.__file__).resolve().parents[1]))
     outputs = []
     for disabled in ("", " ".join(levels)):
         ccdf = tmp_path / f"ccdf{len(outputs)}.csv"
         argv = ["simulate", str(scenario), str(plan), "--samples", "100000", "--seed", "5", "--ccdf", str(ccdf)]
-        result = subprocess.run(
-            [sys.executable, "-c", code, *argv], env=dict(env, NPY_DISABLE_CPU_FEATURES=disabled),
-            capture_output=True, timeout=120,
-        )
+        result = run_cli(argv, disabled)
         assert result.returncode == 0, result.stderr
         outputs.append((result.stdout, ccdf.read_bytes()))
     assert outputs[1] == outputs[0]

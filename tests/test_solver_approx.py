@@ -1,10 +1,9 @@
 import math
-from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from helpers import random_feasible_scenario, reference_closed_form, scenario_at_load
+from helpers import random_feasible_scenario, reference_closed_form, scenario_at_load, ulps
 from paoiplan import (
     InfeasibleScenarioError,
     Scenario,
@@ -108,10 +107,6 @@ def test_unrepresentable_headroom_is_refused_naming_the_sensor(solve):
         solve(scenario)
 
 
-def _ulps(got: float, reference: Decimal) -> float:
-    return float(abs(Decimal(got) - reference) / Decimal(math.ulp(got)))
-
-
 # The worst error of each field against the 40-digit closed form, in units in
 # the last place of the plan's value, over 200 draws per load at n = 2, 10
 # and 200 (seeds [5, n, load * 1e6, draw]), rounded up.  Nearer full load the
@@ -134,6 +129,36 @@ def test_closed_form_is_within_its_ulp_bound_of_a_40_digit_reference(n, load):
         scenario = scenario_at_load(n, load, np.random.default_rng([5, n, round(load * 1e6), draw]))
         plan = solve_approx(scenario)
         shares, delays, total_cost = reference_closed_form(scenario)
-        assert max(map(_ulps, plan.r.tolist(), shares)) <= bound_r, draw
-        assert max(map(_ulps, plan.b.tolist(), delays)) <= bound_b, draw
-        assert _ulps(plan.total_cost, total_cost) <= bound_cost, draw
+        assert max(map(ulps, plan.r.tolist(), shares)) <= bound_r, draw
+        assert max(map(ulps, plan.b.tolist(), delays)) <= bound_b, draw
+        assert ulps(plan.total_cost, total_cost) <= bound_cost, draw
+
+
+# The same fields against the reference fed the package's own rounded
+# slack, over 100 draws per load at n = 2, 10 and 200 (seeds
+# [7, n, load * 1e12, draw]), rounded up to the next half: read apart from
+# the slack's rounding, the closed form stays within a few ulps up to
+# 1 - 1e-12.
+CLOSED_FORM_AT_ITS_SLACK_ULPS = {  # load: (r, b, total_cost)
+    0.2: (2.5, 4.0, 2.0),
+    0.5: (3.0, 3.5, 2.0),
+    0.9: (2.5, 3.0, 2.0),
+    0.99: (1.5, 2.0, 1.5),
+    0.999: (1.5, 2.0, 1.5),
+    1 - 1e-6: (1.0, 1.5, 1.5),
+    1 - 1e-9: (1.0, 1.5, 1.5),
+    1 - 1e-12: (1.0, 1.5, 1.5),
+}
+
+
+@pytest.mark.parametrize("load", sorted(CLOSED_FORM_AT_ITS_SLACK_ULPS))
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_closed_form_is_within_its_ulp_bound_of_a_decimal_reference_at_its_slack(n, load):
+    bounds = CLOSED_FORM_AT_ITS_SLACK_ULPS[load]
+    for draw in range(2):
+        scenario = scenario_at_load(n, load, np.random.default_rng([7, n, round(load * 1e12), draw]))
+        plan = solve_approx(scenario)
+        shares, delays, total_cost = reference_closed_form(scenario, scenario._load_and_slack[1])
+        errors = (max(map(ulps, plan.r.tolist(), shares)), max(map(ulps, plan.b.tolist(), delays)),
+                  ulps(plan.total_cost, total_cost))
+        assert all(error <= bound for error, bound in zip(errors, bounds)), (draw, errors)

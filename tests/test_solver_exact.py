@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from helpers import grid_min_cost_two_sensor, random_feasible_scenario, scenario_at_load
+from helpers import grid_min_cost_two_sensor, random_feasible_scenario, reference_exact, scenario_at_load, ulps
 from paoiplan import ConvergenceError, InfeasibleScenarioError, Scenario, SolveMethod, solve_exact
 from paoiplan.cli import EXIT_NONCONVERGED, main
 from paoiplan.solver_exact import _MAX_NEWTON_STEPS, allocation_at_lambda, residual
@@ -57,6 +57,13 @@ class TestResidual:
         grid = np.logspace(-6, 10, 60)
         values = [residual(SYMMETRIC, lam) for lam in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def _stalled_headroom(scenario, s, with_slope=False):
+    # The headroom of q = 0: 0 at every s, with slope cost/theta, so the gap
+    # never closes and s climbs by slack/sum(cost/theta) at each step.
+    headroom = np.zeros(scenario.n)
+    return (headroom, scenario._weight) if with_slope else headroom
 
 
 class TestSolveExact:
@@ -135,21 +142,24 @@ class TestSolveExact:
         assert plan.total_cost < solve_exact(SYMMETRIC).total_cost  # more budget, cheaper plan
 
     def test_unrepresentable_multiplier_raises_convergence_error(self):
-        # theta = 1e-200 overflows 4*cost*mu/theta**2 to inf: no finite Newton step exists.
+        # theta = 1e-200 overflows q = 4*(cost/theta)/(theta/mu) to inf: no finite Newton step exists.
         scenario = Scenario.from_arrays(mu=(1, 1), cost=(1, 1), theta=(1e-200, 0.5))
         with pytest.raises(ConvergenceError):
             solve_exact(scenario)
 
+    def test_multiplier_past_the_floats_is_refused_naming_it(self):
+        # Newton meets the slack at s = 3.3203125e-309, with a headroom of
+        # 0.0625 per sensor, but 1/s is inf: there is no multiplier to plan at.
+        scenario = Scenario.from_arrays(mu=[1.0] * 8, cost=[2e307] * 8, theta=[1.0] * 8, budget=8.5)
+        with pytest.raises(ValueError, match=re.escape("lambda = 1/s passes the floats at s=3.3203125e-309")):
+            solve_exact(scenario)
+
     def test_newton_stops_at_its_step_cap(self, monkeypatch):
-        # Feasible at load 0.2, but theta**2 overflows, so q = 4*cost*mu/theta**2
-        # is 0: every headroom and the gap stay put, and s climbs by
-        # slack/sum(cost/theta) at each step until the cap ends the search.
         evaluations = []
-        headroom = Scenario._headroom
 
         def counted(self, s, with_slope=False):
             evaluations.append(s)
-            return headroom(self, s, with_slope)
+            return _stalled_headroom(self, s, with_slope)
 
         monkeypatch.setattr(Scenario, "_headroom", counted)
         scenario = Scenario.from_arrays(mu=(1e300, 1e300), cost=(1, 1), theta=(1e299, 1e299))
@@ -157,7 +167,8 @@ class TestSolveExact:
             solve_exact(scenario)
         assert len(evaluations) == _MAX_NEWTON_STEPS
 
-    def test_step_cap_exits_3_with_the_error_as_the_last_line(self, tmp_path, capsys):
+    def test_step_cap_exits_3_with_the_error_as_the_last_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(Scenario, "_headroom", _stalled_headroom)
         sensor = {"mu": 1e300, "cost": 1.0, "theta": 1e299}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"budget": 1.0, "sensors": [sensor, sensor]}))
@@ -178,53 +189,74 @@ class TestSolveExact:
         assert np.max(np.abs(implied - plan.lam)) / plan.lam <= 1e-8
 
 
-def _decimal_multiplier(scenario: Scenario) -> tuple[Decimal, list[Decimal]]:
-    """Multiplier and shares at 50 digits, bisecting g(s) = slack in s = 1/lambda.
-
-    Independent of the solver: the inputs are taken as exact decimals and
-    the headroom is written as sqrt(1 + q*s) - 1 with no expm1/log1p.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        mu, cost, theta = (
-            [Decimal(x) for x in values.tolist()]
-            for values in (scenario.mu, scenario.cost, scenario.theta)
-        )
-        base = [t / m for t, m in zip(theta, mu)]
-        half = [b / 2 for b in base]
-        q = [4 * c * m / (t * t) for c, m, t in zip(cost, mu, theta)]
-        slack = Decimal(scenario.budget) - sum(base)
-
-        def g(s):
-            return sum(h * ((1 + qi * s).sqrt() - 1) for h, qi in zip(half, q))
-
-        # g is concave with slope sum(cost/theta) at 0, so slack/slope is a lower bound.
-        lo = slack / sum(c / t for c, t in zip(cost, theta))
-        hi = 2 * lo
-        while g(hi) < slack:
-            lo, hi = hi, 2 * hi
-        while hi - lo > hi * Decimal("1e-40"):
-            mid = (lo + hi) / 2
-            if g(mid) < slack:
-                lo = mid
-            else:
-                hi = mid
-        s = (lo + hi) / 2
-        shares = [b + h * ((1 + qi * s).sqrt() - 1) for b, h, qi in zip(base, half, q)]
-        return 1 / s, shares
-
-
 @pytest.mark.parametrize("load", [0.9, 0.999, 1 - 1e-6, 1 - 1e-9])
 @pytest.mark.parametrize("n", [2, 10, 200])
 def test_matches_decimal_oracle(n, load):
     scenario = scenario_at_load(n, load, np.random.default_rng(n))
     plan = solve_exact(scenario)
-    lam, shares = _decimal_multiplier(scenario)
+    shares, _, _, lam = reference_exact(scenario)
     np.testing.assert_allclose(plan.r, [float(x) for x in shares], rtol=1e-13, atol=0)
     # The float slack carries an absolute rounding error near 1e-16, which the
     # multiplier inherits relative to the slack itself.
     slack = 1.0 - float(np.sum(scenario.theta / scenario.mu))
     assert plan.lam == pytest.approx(float(lam), rel=max(1e-12, 1e-15 / slack))
+
+
+# The worst error of each field against the Decimal reference fed the
+# package's own rounded slack, in units in the last place of the plan's
+# value, over 100 draws per load at n = 2, 10 and 200 (seeds
+# [7, n, load * 1e12, draw]), rounded up to the next half.  With the
+# rounded slack the plan's own error shows at every load up to
+# 1 - 1e-12; with the exact slack it is the slack's (ROADMAP direction 1).
+EXACT_PLAN_ULPS = {  # load: (r, b, total_cost, lam)
+    0.2: (3.0, 4.5, 3.0, 3.5),
+    0.5: (3.0, 4.0, 2.5, 4.0),
+    0.9: (2.0, 3.0, 2.5, 3.5),
+    0.99: (1.5, 2.5, 1.0, 4.0),
+    0.999: (1.0, 2.0, 1.5, 3.0),
+    1 - 1e-6: (1.0, 1.5, 2.0, 2.5),
+    1 - 1e-9: (1.0, 1.5, 1.5, 4.0),
+    1 - 1e-12: (1.0, 1.5, 1.5, 2.5),
+}
+
+
+@pytest.mark.parametrize("load", sorted(EXACT_PLAN_ULPS))
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_exact_plan_is_within_its_ulp_bound_of_a_decimal_reference_at_its_slack(n, load):
+    bounds = EXACT_PLAN_ULPS[load]
+    for draw in range(2):
+        scenario = scenario_at_load(n, load, np.random.default_rng([7, n, round(load * 1e12), draw]))
+        plan = solve_exact(scenario)
+        shares, delays, total_cost, lam = reference_exact(scenario, scenario._load_and_slack[1])
+        errors = (max(map(ulps, plan.r.tolist(), shares)), max(map(ulps, plan.b.tolist(), delays)),
+                  ulps(plan.total_cost, total_cost), ulps(plan.lam, lam))
+        assert all(error <= bound for error, bound in zip(errors, bounds)), (draw, errors)
+
+
+# The worst error of the headroom and its slope against 60 digits, in units
+# in the last place, over ten 200-sensor draws at load 0.9 (seeds 0 to 9),
+# rounded up to the next half.  The expm1/log1p form read up to 15 ulps
+# for both at q*s = 1e14.
+HEADROOM_ULPS, SLOPE_ULPS = 4.0, 2.5
+
+
+def test_headroom_and_slope_are_within_their_ulp_bounds_at_every_decade_of_q_times_s():
+    # s puts the sensors' median q*s at each decade from 1e-14 to 1e14; the
+    # reference takes the exact inputs, so the error includes that of q.
+    scenario = scenario_at_load(200, 0.9, np.random.default_rng(0))
+    q_median = float(np.median(4.0 * (scenario._weight / scenario._min_share)))
+    inputs = [[Decimal(x) for x in v.tolist()] for v in (scenario.mu, scenario.cost, scenario.theta)]
+    worst_headroom = worst_slope = 0.0
+    for decade in range(-14, 15):
+        s = 10.0**decade / q_median
+        headroom, slope = scenario._headroom(s, with_slope=True)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for mu, cost, theta, h, w in zip(*inputs, headroom.tolist(), slope.tolist()):
+                root = (1 + 4 * cost * mu / (theta * theta) * Decimal(s)).sqrt()
+                worst_headroom = max(worst_headroom, ulps(h, theta / (2 * mu) * (root - 1)))
+                worst_slope = max(worst_slope, ulps(w, cost / theta / root))
+    assert worst_headroom <= HEADROOM_ULPS and worst_slope <= SLOPE_ULPS, (worst_headroom, worst_slope)
 
 
 @pytest.mark.parametrize("load", [0.99, 0.9999])
