@@ -9,10 +9,10 @@ each float as its ``repr``, and every other result through ``json.dumps``.
 
 Exit codes: 0 success, 1 schema or argument error (for ``simulate``,
 ``solve`` and ``approx`` also a plan that ``AllocationPlan.validate_for``
-refuses, and for ``solve`` and ``approx`` a plan that floats cannot
-represent), 2 infeasibility (a load past the floats included, which
-``feasible`` writes as a ``null`` load and slack), 3 numerical
-non-convergence.
+refuses, and for ``solve`` and ``approx`` a multiplier or plan that
+floats cannot represent), 2 infeasibility (a load past the floats
+included, which ``feasible`` writes as a ``null`` load and slack), 3
+numerical non-convergence.
 """
 from __future__ import annotations
 

@@ -120,27 +120,12 @@ def fig3_sweep(n_values, c_max: float, replications: int, seed: int) -> list[Cos
         raise ValueError(f"replications must be at least 1, got {replications!r}")
     rows = []
     for n in n_values:
-        exact_costs, approx_costs, gaps = [], [], []
-        for rep in range(replications):
-            scenario = fig3_scenario(n, c_max, _replication_seed(seed, n, rep))
-            exact = solve_exact(scenario)
-            approx = solve_approx(scenario)
-            exact_costs.append(exact.total_cost)
-            approx_costs.append(approx.total_cost)
-            gaps.append((approx.total_cost - exact.total_cost) / exact.total_cost)
-        mean_gap = float(np.mean(gaps))
-        stderr_gap = (
-            float(np.std(gaps, ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-        )
-        rows.append(
-            CostGapRow(
-                n=int(n),
-                c_max=float(c_max),
-                mean_exact_cost=float(np.mean(exact_costs)),
-                mean_approx_cost=float(np.mean(approx_costs)),
-                mean_gap=mean_gap,
-                stderr_gap=stderr_gap,
-            )
-        )
+        scenarios = [fig3_scenario(n, c_max, _replication_seed(seed, n, rep)) for rep in range(replications)]
+        exact = np.array([solve_exact(scenario).total_cost for scenario in scenarios])
+        approx = np.array([solve_approx(scenario).total_cost for scenario in scenarios])
+        gaps = (approx - exact) / exact
+        stderr_gap = float(np.std(gaps, ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+        rows.append(CostGapRow(n=int(n), c_max=float(c_max), mean_exact_cost=float(np.mean(exact)),
+                               mean_approx_cost=float(np.mean(approx)), mean_gap=float(np.mean(gaps)),
+                               stderr_gap=stderr_gap))
     return rows
-

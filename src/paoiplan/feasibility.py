@@ -6,7 +6,10 @@ least ``theta_i / mu_i`` of the resource before its service rate exceeds
 its exponent, and strictly more to leave the tail constraint satisfiable.
 The load and the slack ``budget - load`` are summed when the scenario is
 built, as part of its planning kernel (``Scenario._load_and_slack``), so
-the test and both planners' gate read the same two floats.
+the test and both planners' gate read the same two floats.  The gate also
+forms the one multiplier both planners start from, the closed form's
+``1/lambda = slack/sum(cost/theta)``, and refuses a scenario where it
+leaves the floats.
 """
 from __future__ import annotations
 
@@ -38,15 +41,24 @@ class InfeasibleScenarioError(ValueError):
         )
 
 
-def feasible_slack(scenario: Scenario) -> float:
-    """Budget minus load, the planners' gate; InfeasibleScenarioError unless it is > 0.
+def feasible_slack(scenario: Scenario) -> tuple[float, float]:
+    """Both planners' gate: the slack ``budget - load`` and the closed form's ``s = 1/lambda``.
 
-    The full report, with its ranking, is built only for the error.
+    ``s = slack/sum(cost/theta)`` is the multiplier the closed form plans
+    at and the exact planner's Newton start.  Raises
+    InfeasibleScenarioError unless the slack is > 0 (the full report, with
+    its ranking, is built only for the error), and ValueError unless
+    ``0 < s < inf``: where the weight total or the quotient leaves the
+    floats, neither planner has a multiplier to start from.
     """
-    slack = scenario._load_and_slack[1]
+    slack, total = scenario._load_and_slack[1], scenario._weight_total
     if not slack > 0.0:
         raise InfeasibleScenarioError(check_feasibility(scenario), scenario.budget)
-    return slack
+    s = slack / total if total else np.inf
+    if not 0.0 < s < np.inf:
+        raise ValueError(f"the closed form's 1/lambda = slack/sum(cost/theta) = {slack:.6g}/{total:.6g} "
+                         "is not a finite positive float")
+    return slack, s
 
 
 def check_feasibility(scenario: Scenario) -> FeasibilityReport:

@@ -35,9 +35,20 @@ _BUDGET_RTOL = 1e-9  # validate_for: shares may exceed the budget by rounding, r
 _COST_RTOL = 1e-9  # validate_for: a total_cost written at 12 significant digits still matches
 
 
+def _as_float(value) -> float:
+    """``float(value)``, but an int past the floats reads as inf (or -inf), as the CLI reads JSON."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _positive_vector(label: str, values) -> np.ndarray:
     """One field as a float64 vector; ValueError naming ``label`` unless 1-D, finite and positive."""
-    vector = np.array(values, dtype=float)
+    try:
+        vector = np.array(values, dtype=float)
+    except OverflowError:
+        vector = np.vectorize(_as_float, otypes=[float])(np.array(values, dtype=object))
     if vector.ndim != 1:
         raise ValueError(f"{label} must be one-dimensional, got shape {vector.shape}")
     ok = np.isfinite(vector) & (vector > 0.0)
@@ -54,7 +65,7 @@ def _positive_vector(label: str, values) -> np.ndarray:
 def _rate_and_delay(nu: float, b: float) -> tuple[float, float]:
     """One sensor's service rate and sampling delay as Python floats, both finite and positive."""
     # Coerced once: numpy scalars (a plan's entries) would slow every scalar step.
-    nu, b = float(nu), float(b)
+    nu, b = _as_float(nu), _as_float(b)
     if not 0.0 < nu < math.inf:
         raise ValueError(f"service rate must be finite and positive, got {nu!r}")
     if not 0.0 < b < math.inf:
@@ -139,16 +150,17 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _freeze_sensor_vectors(self, ("mu", "cost", "theta"))
-        budget = float(self.budget)
+        budget = _as_float(self.budget)
         if not (math.isfinite(budget) and budget > 0.0):
-            raise ValueError(f"Scenario.budget must be a finite positive number, got {self.budget!r}")
+            raise ValueError(f"Scenario.budget must be a finite positive number, got {budget!r}")
         object.__setattr__(self, "budget", budget)
         # The planning kernel (module docstring).  A value past the floats
         # comes out inf, 0 or NaN with no warning: an infinite theta/mu makes
         # the load infinite, which the feasibility test refuses; an infinite
-        # cost/theta or weight total makes the closed form refuse its plan;
-        # a q of 0, inf or NaN (cost/theta over theta/mu past the floats, or
-        # either of them) stops the root-find, which names where.
+        # cost/theta, or a weight total of inf or 0, makes the planners' gate
+        # refuse the scenario, as its s = slack/total is 0 or inf; a q of 0,
+        # inf or NaN (cost/theta over theta/mu past the floats, or either of
+        # them) stops the root-find, which names where.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             min_share, weight = self.theta / self.mu, self.cost / self.theta
             root_constants = 4.0 * (weight / min_share), self.theta / (2.0 * self.mu)
@@ -220,13 +232,13 @@ class AllocationPlan:
 
     def __post_init__(self) -> None:
         _freeze_sensor_vectors(self, ("r", "b"))
-        total = float(self.total_cost)
+        total = _as_float(self.total_cost)
         if not math.isfinite(total):
             raise ValueError("AllocationPlan.total_cost must be finite")
         if self.lam is not None:
-            lam = float(self.lam)
+            lam = _as_float(self.lam)
             if not (math.isfinite(lam) and lam > 0.0):
-                raise ValueError(f"AllocationPlan.lam must be finite and positive, got {self.lam!r}")
+                raise ValueError(f"AllocationPlan.lam must be finite and positive, got {lam!r}")
             object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "total_cost", total)
         if not isinstance(self.method, SolveMethod):
@@ -290,8 +302,10 @@ def _plan_from_headroom(scenario: Scenario, headroom, method: SolveMethod, lam=N
     headroom, ``log1p(theta/(mu*h))/theta``, so ``mu*r - theta`` never cancels.
     A headroom too small for floats (``mu*h`` underflows next to ``theta``)
     gives an infinite delay, ``theta/(mu*h)`` below the floats gives a
-    delay of 0, and a NaN headroom (the closed form's ``inf * 0`` where a
-    weight ``cost/theta`` overflows) gives a NaN delay.  ``AllocationPlan``
+    delay of 0, and a NaN headroom (the exact planner's ``inf/inf`` where
+    ``q/lam``, an ulp above Newton's last ``q*s``, passes the floats) gives
+    a NaN delay; the closed form's headroom, a finite weight times the
+    gate's finite ``s``, is never NaN.  ``AllocationPlan``
     refuses all three, blaming its own ``b``; the refusal is raised again
     naming the first sensor whose delay is not a finite positive number,
     and the cause, so a plan that passes costs no extra check.  Where the

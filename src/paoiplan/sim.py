@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -66,14 +67,17 @@ _MIN_FIT_POINTS = 10
 _CHUNK_ROWS = 16
 _CHUNK_COLUMNS = 8192
 _HUGE_PAGE = 2 << 20  # bytes in a transparent huge page on x86-64 Linux
+# The most samples whose map, 8 bytes a slot in whole huge pages, is at most sys.maxsize bytes.
+_MAX_SAMPLES = (sys.maxsize + 1 - _HUGE_PAGE) // 8 - _WARMUP
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Number of recorded peak-age samples and the seed of the random draw.
 
-    Both are integers: ``num_samples`` at least 1000 and ``seed`` at least
-    0.  Anything else raises ValueError naming the field.
+    Both are integers: ``num_samples`` at least 1000, and at most the count
+    whose sample map fits in ``sys.maxsize`` bytes, and ``seed`` at least 0.
+    Anything else raises ValueError naming the field.
     """
 
     num_samples: int = 1_000_000
@@ -86,6 +90,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.num_samples < 1000:
             raise ValueError(f"num_samples must be at least 1000, got {self.num_samples!r}")
+        if self.num_samples > _MAX_SAMPLES:
+            raise ValueError(f"num_samples must be at most {_MAX_SAMPLES}, got {self.num_samples!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 

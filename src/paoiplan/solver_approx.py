@@ -21,21 +21,18 @@ from .model import AllocationPlan, Scenario, SolveMethod, _plan_from_headroom
 def solve_approx(scenario: Scenario) -> AllocationPlan:
     """Approximately optimal plan in closed form.
 
-    The headroom ``h_i = (cost_i/theta_i) * slack / W``, ``W = sum(cost/theta)``,
-    goes to the plan constructor shared with ``solve_exact``; the delay is
+    The plan is at the gate's ``s = slack/W``, ``W = sum(cost/theta)``: the
+    headroom ``h_i = (cost_i/theta_i) * s`` goes to the plan constructor
+    shared with ``solve_exact``, and the delay is
     ``b_i = ln(1 + theta_i**2 * W / (cost_i * mu_i * slack)) / theta_i``.
     Shares sum to the budget by construction.  Offered for every feasible
     scenario regardless of size; accuracy is measured, not enforced.
-    Raises ValueError when every ``cost/theta`` underflows to 0 in floats.
+    Raises ValueError, from the gate, when ``s`` is not a finite positive
+    float, and from the plan when a headroom or delay leaves the floats.
     """
-    slack = feasible_slack(scenario)
-    weights, total = scenario._weight, scenario._weight_total
-    if not total > 0.0:
-        raise ValueError(
-            "every cost/theta underflows to 0: the closed form has no weights to split the slack"
-        )
-    # One scope for the headroom and the plan.  Where slack/total or a weight
-    # is past the floats (slack/total is 0 where total is inf), the headroom
-    # may hold inf or inf*0 = NaN, which the plan refuses naming the sensor.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _plan_from_headroom(scenario, weights * (slack / total), SolveMethod.APPROX)
+    _, s = feasible_slack(scenario)
+    # One scope for the headroom and the plan: a weight times the finite s
+    # may overflow to inf, and mu*h may underflow to 0, both of which the
+    # plan refuses naming the sensor.
+    with np.errstate(over="ignore", divide="ignore"):
+        return _plan_from_headroom(scenario, scenario._weight * s, SolveMethod.APPROX)

@@ -7,9 +7,12 @@ multiplier is the positive root of a quadratic; the plan is built from its
 headroom above ``theta/mu``.  The multiplier is found by Newton on 1/lam:
 in ``s = 1/lam`` the budget equation is concave and increasing with value
 0 at ``s = 0``, so the iterates climb monotonically to the root and stop
-when a step no longer raises ``s``.  The first step, from ``s = 0``, needs
-no evaluation: there every headroom is 0 and its slope is ``cost/theta``,
-so Newton starts at the closed form's ``s = slack/sum(cost/theta)``.
+when a step no longer raises ``s``.  Newton starts at the closed form's
+``s = slack/sum(cost/theta)``, the step it would take from ``s = 0``, where
+every headroom is 0 and its slope is ``cost/theta``.  That ``s`` comes from
+the planners' gate, ``feasibility.feasible_slack``, which refuses a
+scenario where it is not a finite positive float, so Newton always starts
+inside the floats.
 
 Every headroom comes from the scenario's planning kernel (see ``model``):
 ``q = 4*(cost/theta)/(theta/mu)``, ``theta/(2*mu)`` and ``cost/theta`` are
@@ -35,9 +38,9 @@ import numpy as np
 from .feasibility import feasible_slack
 from .model import AllocationPlan, Scenario, SolveMethod, _fsum, _plan_from_headroom
 
-# Newton takes 3-8 steps, the first of them from s = 0, at loads from 0.5 up
-# to the boundary and up to about 30 when the minimum shares sit many decades
-# below the slack.
+# Newton evaluates the headroom 3-8 times, the first at the closed form's s,
+# at loads from 0.5 up to the boundary, and up to about 30 times when the
+# minimum shares sit many decades below the slack.
 _MAX_NEWTON_STEPS = 100
 
 
@@ -61,31 +64,30 @@ def residual(scenario: Scenario, lam: float) -> float:
     return _fsum(allocation_at_lambda(scenario, lam)) - scenario.budget
 
 
-def _find_multiplier(scenario: Scenario, slack: float) -> tuple[float, float, np.ndarray]:
-    # Solve g(s) = slack, where g(s) is the total headroom.  The tangent of
-    # the concave g lies above it, so each Newton step lands at or below the
-    # root; in floats the iterates stop rising once they reach it.  The step
-    # from s = 0 takes g = 0 and the slope sum(cost/theta) from the kernel:
-    # the headroom at 0 gives those same bits wherever q is finite.  Both
-    # sums per step are _fsum's, correctly rounded in any sensor order, like
-    # the kernel's.  A slope sum that is not positive (every slope
-    # underflowing to 0, as it does where q*s passes the floats) ends the
-    # search instead of dividing by it, and a step past the floats ends it
-    # before the headroom is evaluated there.
+def _find_multiplier(scenario: Scenario, gate: tuple[float, float]) -> tuple[float, float, np.ndarray]:
+    # Solve g(s) = slack, where g(s) is the total headroom, from the gate's
+    # (slack, s): Newton starts at the closed form's s = slack/sum(cost/theta),
+    # finite and positive.  The tangent of the concave g lies above it, so
+    # each step lands at or below the root; in floats the iterates stop
+    # rising once they reach it.  Both sums per step are _fsum's, correctly
+    # rounded in any sensor order, like the kernel's.  A slope sum that is
+    # not positive (every slope underflowing to 0, as it does where q*s
+    # passes the floats) ends the search instead of dividing by it, and a
+    # step past the floats ends it before the headroom is evaluated there.
     # Returns lam = 1/s with the last s and the headroom evaluated there,
     # and refuses an s so small that 1/s passes the floats.
-    s, gap, slope_sum = 0.0, slack, scenario._weight_total
+    slack, next_s = gate
     for _ in range(_MAX_NEWTON_STEPS):
+        s = next_s
+        headroom, slope = scenario._headroom(s, with_slope=True)
+        gap, slope_sum = slack - _fsum(headroom), _fsum(slope)
         next_s = s + gap / slope_sum if slope_sum > 0.0 else math.nan
         if not (s < next_s < math.inf):
-            if s > 0.0 and math.isfinite(next_s):
+            if math.isfinite(next_s):
                 if 1.0 / s == math.inf:
                     raise ValueError(f"the budget multiplier lambda = 1/s passes the floats at s={s!r}")
                 return 1.0 / s, s, headroom
             break
-        s = next_s
-        headroom, slope = scenario._headroom(s, with_slope=True)
-        gap, slope_sum = slack - _fsum(headroom), _fsum(slope)
     raise ConvergenceError(
         f"Newton on 1/lambda stopped at s={s!r} without meeting the budget slack {slack!r}"
     )
@@ -97,10 +99,10 @@ def solve_exact(scenario: Scenario) -> AllocationPlan:
     The headroom at the multiplier goes to the plan constructor shared with
     ``solve_approx``: shares sum to the budget up to rounding, each delay at
     its tail constraint's tight point.  Raises InfeasibleScenarioError when
-    no allocation can dominate every exponent, ConvergenceError when a
-    Newton step leaves the finite floats or the step cap is reached, and
-    ValueError when the multiplier or the plan cannot be represented in
-    floats.
+    no allocation can dominate every exponent, ValueError when the closed
+    form's ``s`` (Newton's start), the multiplier or the plan cannot be
+    represented in floats, and ConvergenceError when a Newton step from
+    that start leaves the finite floats or the step cap is reached.
     """
     # One scope for every headroom and the plan: q*s past the floats (and
     # its inf/inf or 0*inf) stops Newton, which names s, and a delay past the floats is

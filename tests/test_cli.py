@@ -88,16 +88,17 @@ class TestSolveCommand:
         _one_error_line(capsys.readouterr(), "sensor 0: its sampling delay underflows to 0 in floats")
 
     def test_nan_headroom_exits_1_naming_its_sensor(self, scenario_file, capsys):
-        # Sensor 0's cost/theta overflows to inf, so the closed form's headroom
-        # there is inf * 0 = NaN and sensor 1's is 0.75/inf = 0: the NaN sensor
-        # is the first whose delay is not a finite positive number.
-        scenario = scenario_file({"sensors": [
-            {"mu": 1e300, "cost": 1e200, "theta": 1e-200}, {"mu": 1, "cost": 1, "theta": 0.25},
-        ]})
+        # Newton meets the slack at s = 996.0321200293114, where sensor 1's
+        # q*s is just below the largest float; the plan is at 1/lam, one ulp
+        # above s, where q*s is inf and the headroom inf/inf, not a number.
+        # The closed form's headroom is a finite weight times the gate's
+        # finite s, never NaN: it gives sensor 1 nearly all the slack, and
+        # sensor 0's share rounds to theta/mu, which the plan check refuses.
+        scenario = scenario_file(NAN_HEADROOM_AT_1_OVER_LAM)
+        assert cli.main(["solve", scenario]) == 1
+        _one_error_line(capsys.readouterr(), "sensor 1: its headroom above theta/mu is not a number")
         assert cli.main(["approx", scenario]) == 1
-        _one_error_line(capsys.readouterr(), "sensor 0: its headroom above theta/mu is not a number")
-        assert cli.main(["solve", scenario]) == 3
-        _one_error_line(capsys.readouterr(), "Newton on 1/lambda stopped at s=0.0")
+        _one_error_line(capsys.readouterr(), "sensor 0: service rate 0.5 does not exceed outage exponent")
 
     def test_unstable_plan_exits_1_and_writes_no_file(self, scenario_file, tmp_path, capsys):
         # theta**2 underflows; the closed form's r = 0.5 and b = 2 give nu*b = 1 exactly.
@@ -163,19 +164,38 @@ class TestLoadPastTheFloats:
         _one_error_line(capsys.readouterr(), "required load inf is not strictly below budget 1")
 
 
+# Feasible, but the closed form's s = slack/sum(cost/theta), both planners'
+# start, leaves the floats; each is refused at the gate with the same line.
+# s overflows to inf: slack 8e299 over weights summing to 2e-299.
+MULTIPLIER_START_OVERFLOWS = {"budget": 1e300, "sensors": [{"mu": 1, "cost": 1, "theta": 1e299}] * 2}
+# Every cost/theta is inf, so their total is too, and s is 0.
+EVERY_WEIGHT_PAST_THE_FLOATS = {"budget": 1.0, "sensors": [{"mu": 1, "cost": 1, "theta": 5e-324}] * 2}
+# s underflows to 0: slack 8e-301 over weights summing to 2e301.
+MULTIPLIER_START_UNDERFLOWS = {"budget": 1e-300, "sensors": [{"mu": 1, "cost": 1, "theta": 1e-301}] * 2}
+# Every cost/theta underflows to 0, so s = slack/0 is inf.
+EVERY_WEIGHT_UNDERFLOWS = {"budget": 1.0, "sensors": [{"mu": 1e300, "cost": 1e-200, "theta": 1e200}] * 2}
+# Sensor 0's cost/theta overflows, so the weight total is inf and s is 0.
+ONE_WEIGHT_PAST_THE_FLOATS = {"budget": 1.0, "sensors": [
+    {"mu": 1e300, "cost": 1e200, "theta": 1e-200}, {"mu": 1, "cost": 1, "theta": 0.25},
+]}
+# Newton meets the slack at s, but sensor 1's q times 1/lam, an ulp above s, is inf.
+NAN_HEADROOM_AT_1_OVER_LAM = {"budget": 10.0, "sensors": [
+    {"mu": 1, "cost": 0.09537845024235195, "theta": 0.5},
+    {"mu": 1e250, "cost": 4.5121364530127126e54, "theta": 1},
+]}
 # q*s overflows at Newton's first step, so every headroom there is inf/inf,
 # and sensor 1's theta/(2*mu) underflows to 0 besides.
 Q_TIMES_S_PAST_THE_FLOATS = {"budget": 1.7e308, "sensors": [
     {"mu": 1e200, "cost": 0.3, "theta": 0.3}, {"mu": 1e300, "cost": 1.0, "theta": 1e-200},
 ]}
-# sum(cost/theta) overflows, so Newton's first step and the closed form's share are both 0.
+# sum(cost/theta) overflows, so the closed form's s is 0.
 WEIGHT_TOTAL_PAST_THE_FLOATS = {"budget": 3.0, "sensors": [{"mu": 1, "cost": 1.7e308, "theta": 1}] * 2}
-# slack/sum(cost/theta) overflows, and sensor 1's cost/theta underflows to 0,
-# so the closed form's headroom is inf for sensor 0 and 0*inf for sensor 1.
+# slack/sum(cost/theta) overflows, and sensor 1's cost/theta underflows to 0.
 SLACK_SHARE_PAST_THE_FLOATS = {"budget": 1e300, "sensors": [
     {"mu": 1, "cost": 5e-324, "theta": 1}, {"mu": 1, "cost": 5e-324, "theta": 1e10},
 ]}
-# mu*r overflows: validate_for refuses the plan.
+# mu*r overflows, so validate_for refuses a plan; neither planner makes one,
+# as slack/sum(cost/theta) = 1e10/1e-299 overflows.
 RATE_PAST_THE_FLOATS = {"budget": 1e10, "sensors": [{"mu": 1e300, "cost": 1, "theta": 1e299}]}
 # The closed form's share is the budget, 1.5e308, and its delay about 4.6e-309,
 # both finite, but mu*r is inf, so mu*r*b is too: validate_for refuses the plan.
@@ -210,11 +230,36 @@ SHARE_SUM_PAST_THE_FLOATS = {"budget": 1.7976931348623157e308, "sensors": [
     {"mu": 2.2250738585072014e-308, "cost": 1.0, "theta": 1.0},
 ]}
 
-NEWTON_PAST_THE_FLOATS = [  # feasible, but q or a Newton step leaves the floats
+MULTIPLIER_START_PAST_THE_FLOATS = [  # each with the quotient slack/sum(cost/theta) it prints
+    (MULTIPLIER_START_OVERFLOWS, "8e+299/2e-299"),
+    (EVERY_WEIGHT_PAST_THE_FLOATS, "1/inf"),
+    (MULTIPLIER_START_UNDERFLOWS, "8e-301/2e+301"),
+    (EVERY_WEIGHT_UNDERFLOWS, "1/0"),
+    (WEIGHT_TOTAL_PAST_THE_FLOATS, "1/inf"),
+    (SLACK_SHARE_PAST_THE_FLOATS, "1e+300/4.94066e-324"),
+    (ONE_WEIGHT_PAST_THE_FLOATS, "0.75/inf"),
+    (RATE_PAST_THE_FLOATS, "1e+10/1e-299"),
+]
+GATE_LINE = "the closed form's 1/lambda = slack/sum(cost/theta) = {} is not a finite positive float"
+
+
+@pytest.mark.parametrize("payload,quotient", MULTIPLIER_START_PAST_THE_FLOATS)
+def test_both_planners_exit_1_with_the_gates_line_where_the_closed_forms_multiplier_leaves_the_floats(
+    scenario_file, tmp_path, capsys, payload, quotient
+):
+    path = scenario_file(payload)
+    assert cli.main(["feasible", path]) == 0
+    capsys.readouterr()
+    for command in ("solve", "approx"):
+        out = tmp_path / "plan.json"
+        assert cli.main([command, path, "--out", str(out)]) == 1
+        _one_error_line(capsys.readouterr(), GATE_LINE.format(quotient))
+        assert not out.exists()
+
+
+NEWTON_PAST_THE_FLOATS = [  # feasible, and Newton starts inside the floats, but q or q*s leaves them
     ({"budget": 1.0, "sensors": [{"mu": 1, "cost": 1, "theta": 1e-160}] * 2}, "s=5e-161 "),
-    ({"budget": 1e300, "sensors": [{"mu": 1, "cost": 1, "theta": 1e299}] * 2}, "s=0.0 "),
     (Q_TIMES_S_PAST_THE_FLOATS, "s=1.7e+108 "),
-    (WEIGHT_TOTAL_PAST_THE_FLOATS, "s=0.0 "),
 ]
 
 
@@ -228,8 +273,6 @@ def test_solve_exits_3_with_one_error_line_where_newton_leaves_the_floats(
 
 
 @pytest.mark.parametrize("command,payload,message", [
-    ("approx", SLACK_SHARE_PAST_THE_FLOATS, "sensor 0: its sampling delay underflows to 0 in floats"),
-    ("approx", WEIGHT_TOTAL_PAST_THE_FLOATS, "sensor 0: its headroom above theta/mu cannot be represented"),
     ("approx", DELAY_COST_PAST_THE_FLOATS,
      "sensor 0: the cost-weighted delay sum passes the floats, and its cost*b is the largest"),
     ("approx", LOAD_PAST_THE_FLOATS_PLAN, "sensor 0: nu*b = inf * 4.62098e-309 is past the floats"),
@@ -331,8 +374,14 @@ def workdir(tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(sensors=st.lists(SENSOR, min_size=1, max_size=4), budget=POSITIVE_FLOATS)
 @example(**Q_TIMES_S_PAST_THE_FLOATS)
+@example(**MULTIPLIER_START_OVERFLOWS)
+@example(**EVERY_WEIGHT_PAST_THE_FLOATS)
+@example(**MULTIPLIER_START_UNDERFLOWS)
+@example(**EVERY_WEIGHT_UNDERFLOWS)
 @example(**WEIGHT_TOTAL_PAST_THE_FLOATS)
 @example(**SLACK_SHARE_PAST_THE_FLOATS)
+@example(**ONE_WEIGHT_PAST_THE_FLOATS)
+@example(**NAN_HEADROOM_AT_1_OVER_LAM)
 @example(**RATE_PAST_THE_FLOATS)
 @example(**DELAY_COST_PAST_THE_FLOATS)
 @example(**HEADROOM_PAST_THE_FLOATS)
@@ -348,16 +397,21 @@ def test_every_command_exits_with_its_code_and_at_most_one_error_line(workdir, s
     scenario.write_text(json.dumps({"budget": budget, "sensors": sensors}))
     code, out, err = _run(["feasible", str(scenario)])
     assert err == "" and (code == 0) == strict_loads(out)["feasible"] and code in (0, 2)
+    refusals = {}
     for command in ("solve", "approx"):
         plan = workdir / "plan.json"
         code, out, err = _run([command, str(scenario), "--out", str(plan)])
         _exits_cleanly(code, out, err)
+        refusals[command] = code, err
         if code == 0 and len(sensors) <= 2:
             # A written plan has passed validate_for, which simulate runs
             # again: only the peak ages may refuse it, never the plan check.
             code, out, err = _run(["simulate", str(scenario), str(plan), "--samples", "1000"])
             _exits_cleanly(code, out, err)
             assert code == 0 or err.startswith("error: peak ages overflow the floats at "), err
+    # Both planners pass the same gate: where either prints its line, the other prints it too.
+    if any(err.startswith("error: the closed form's 1/lambda") for _, err in refusals.values()):
+        assert refusals["solve"] == refusals["approx"] and refusals["solve"][0] == 1, refusals
 
 
 class TestSchemaValidation:
@@ -556,7 +610,12 @@ class TestSimulateRoundTrip:
             _, x, ccdf, ln_ccdf = map(float, row.split(","))
             assert ln_ccdf == math.log(ccdf)  # repr round-trips exactly
 
-    @pytest.mark.parametrize("args,name", [(["--seed", "-1"], "seed"), (["--samples", "999"], "num_samples")])
+    @pytest.mark.parametrize("args,name", [
+        (["--seed", "-1"], "seed"),
+        (["--samples", "999"], "num_samples"),
+        # Refused when the config is built, before any sample map is made.
+        (["--samples", "100000000000000000000000"], "num_samples must be at most"),
+    ])
     def test_bad_sim_config_exits_1_naming_the_value(self, scenario_file, tmp_path, capsys, args, name):
         scenario = scenario_file(TWO_SYM)
         plan_path = tmp_path / "plan.json"
@@ -708,6 +767,12 @@ class TestSweepCommands:
 
     def test_fig3_rejects_bad_n_list(self, tmp_path, capsys):
         assert cli.main(["fig3", "--n", "4,x", "--out", str(tmp_path / "f.csv")]) == 1
+
+    def test_fig3_rejects_an_n_list_without_sizes(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert cli.main(["fig3", "--n", ",", "--out", str(out)]) == 1
+        _one_error_line(capsys.readouterr(), "--n must name at least one system size")
+        assert not out.exists()
 
     def test_fig3_rejects_infinite_cost_ceiling(self, tmp_path, capsys):
         out = tmp_path / "fig3.csv"

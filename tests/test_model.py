@@ -1,12 +1,22 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paoiplan import AllocationPlan, Scenario, SolveMethod, solve_exact
+from paoiplan import (
+    AllocationPlan,
+    Scenario,
+    SimConfig,
+    SolveMethod,
+    exponent_root,
+    exponent_variational,
+    solve_exact,
+)
 from paoiplan.model import _positive_vector, optimal_sampling_delay
+from paoiplan.sim import _MAX_SAMPLES, simulate_sensor
 
 
 def _scenario(first, second):
@@ -106,6 +116,11 @@ class TestScenario:
         with pytest.raises(ValueError, match="equal lengths"):
             Scenario.from_arrays(mu=(1, 1), cost=(1,), theta=(0.1, 0.2))
 
+    def test_equality_with_another_type_is_left_to_it(self):
+        scenario = Scenario.from_arrays(mu=(1,), cost=(1,), theta=(0.5,))
+        assert scenario.__eq__((1.0, 1.0, 0.5)) is NotImplemented
+        assert scenario != (1.0, 1.0, 0.5)
+
 
 class TestAllocationPlan:
     def test_basic_construction(self):
@@ -117,6 +132,13 @@ class TestAllocationPlan:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="equal lengths"):
             AllocationPlan(r=(0.5,), b=(1.0, 1.0), method=SolveMethod.EXACT, total_cost=1.0)
+
+    @pytest.mark.parametrize("method", list(SolveMethod))
+    def test_method_given_as_its_string_is_the_enum_member(self, method):
+        plan = AllocationPlan(r=(0.5,), b=(1.0,), method=method.value, total_cost=1.0)
+        assert plan.method is method
+        with pytest.raises(ValueError, match="'greedy' is not a valid SolveMethod"):
+            AllocationPlan(r=(0.5,), b=(1.0,), method="greedy", total_cost=1.0)
 
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(ValueError, match=r"AllocationPlan\.r\[1\]"):
@@ -320,6 +342,11 @@ class TestOptimalSamplingDelay:
         assert optimal_sampling_delay(0.5, 0.25) == pytest.approx(4 * math.log(2), abs=1e-12)
         assert optimal_sampling_delay(1.0, 0.5) == pytest.approx(2 * math.log(2), abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.0, -0.25, math.nan])
+    def test_nonpositive_exponent_raises(self, theta):
+        with pytest.raises(ValueError, match=re.escape(f"outage exponent must be positive, got {theta!r}")):
+            optimal_sampling_delay(1.0, theta)
+
     @pytest.mark.parametrize("nu", [0.25, 0.2, 0.0])
     def test_infeasible_rate_raises(self, nu):
         with pytest.raises(ValueError, match="must strictly exceed the outage exponent"):
@@ -337,3 +364,45 @@ class TestOptimalSamplingDelay:
                 # The tight point LMGF(theta)/theta, LMGF(theta) = ln(nu/(nu - theta)).
                 b = optimal_sampling_delay(nu, theta)
                 assert math.log(nu / (nu - theta)) / theta == pytest.approx(b, abs=1e-12)
+
+
+HUGE = 10**400  # a Python int past the floats: float() of it raises OverflowError
+
+
+# Each is refused before any sample map is made: simulate_sensor checks nu
+# and b first, and SimConfig its count when it is built.
+@pytest.mark.parametrize("build,message", [
+    (lambda: Scenario(mu=[HUGE], cost=[1.0], theta=[1.0]),
+     "Scenario.mu[0] must be a finite positive number, got inf"),
+    (lambda: Scenario(mu=HUGE, cost=[1.0], theta=[1.0]), "Scenario.mu must be one-dimensional, got shape ()"),
+    (lambda: Scenario(mu=[1.0, 1.0], cost=[1.0, -HUGE], theta=[1.0, 1.0]),
+     "Scenario.cost[1] must be a finite positive number, got -inf"),
+    (lambda: Scenario(mu=[1.0], cost=[1.0], theta=[HUGE]),
+     "Scenario.theta[0] must be a finite positive number, got inf"),
+    (lambda: Scenario(mu=[1.0], cost=[1.0], theta=[1.0], budget=HUGE),
+     "Scenario.budget must be a finite positive number, got inf"),
+    (lambda: AllocationPlan(r=[HUGE], b=[1.0], method="exact", total_cost=1.0),
+     "AllocationPlan.r[0] must be a finite positive number, got inf"),
+    (lambda: AllocationPlan(r=[1.0], b=[1.0], method="exact", total_cost=HUGE),
+     "AllocationPlan.total_cost must be finite"),
+    (lambda: AllocationPlan(r=[1.0], b=[1.0], method="exact", total_cost=1.0, lam=HUGE),
+     "AllocationPlan.lam must be finite and positive, got inf"),
+    (lambda: exponent_root(HUGE, 1.0), "service rate must be finite and positive, got inf"),
+    (lambda: exponent_variational(1.0, HUGE), "sampling delay must be finite and positive, got inf"),
+    (lambda: simulate_sensor(1.0, HUGE, SimConfig(num_samples=1000)),
+     "sampling delay must be finite and positive, got inf"),
+    (lambda: SimConfig(num_samples=HUGE), f"num_samples must be at most {_MAX_SAMPLES}, got {HUGE}"),
+    (lambda: SimConfig(num_samples=_MAX_SAMPLES + 1), f"num_samples must be at most {_MAX_SAMPLES}, got"),
+])
+def test_ints_past_the_floats_are_refused_as_inf(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_the_largest_sample_count_maps_at_most_sys_maxsize_bytes():
+    # The map holds 10 000 warm-up slots and the samples, 8 bytes each, in whole 2 MiB pages.
+    def map_length(samples):
+        return -(-8 * (10_000 + samples) // (2 << 20)) * (2 << 20)
+
+    assert SimConfig(num_samples=_MAX_SAMPLES).num_samples == _MAX_SAMPLES
+    assert map_length(_MAX_SAMPLES) <= sys.maxsize < map_length(_MAX_SAMPLES + 1)

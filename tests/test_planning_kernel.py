@@ -7,6 +7,7 @@ frozen copy in ``helpers``), bit for bit.
 """
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -116,27 +117,31 @@ def test_exact_planner_still_fails_where_q_overflows():
         solve_exact(_tiny_exponents())
 
 
+EVERY_WEIGHT_UNDERFLOWS_LINE = (
+    "the closed form's 1/lambda = slack/sum(cost/theta) = 1/0 is not a finite positive float"
+)
+
+
 def test_exact_planner_fails_cleanly_where_every_weight_underflows():
-    # cost/theta is 1e-400, 0 in floats: the first step has no slope to
-    # divide by, and Newton stops at s = 0 rather than dividing by zero.
+    # cost/theta is 1e-400, 0 in floats: the gate's s = slack/0 is inf, and
+    # Newton has no start inside the floats, so the gate refuses the scenario.
     scenario = Scenario.from_arrays(mu=(1e300, 1e300), cost=(1e-200, 1e-200), theta=(1e200, 1e200))
-    with pytest.raises(ConvergenceError, match="stopped at s=0.0 "):
+    with pytest.raises(ValueError, match=re.escape(EVERY_WEIGHT_UNDERFLOWS_LINE)):
         solve_exact(scenario)
 
 
 def test_closed_form_fails_cleanly_where_every_weight_underflows(tmp_path, capsys):
     # The scenario is feasible (load 2e-100), but the closed form's weights
-    # sum to 0, so it has no split of the slack to give.
+    # sum to 0, so it has no split of the slack to give: its s = slack/0 is inf.
     sensor = {"mu": 1e300, "cost": 1e-200, "theta": 1e200}
-    message = "every cost/theta underflows to 0"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(EVERY_WEIGHT_UNDERFLOWS_LINE)):
         solve_approx(Scenario.from_arrays(mu=(1e300, 1e300), cost=(1e-200, 1e-200), theta=(1e200, 1e200)))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"sensors": [sensor] * 2}))
     assert main(["approx", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert err == f"error: {EVERY_WEIGHT_UNDERFLOWS_LINE}\n"
 
 
 KERNEL = ("_min_share", "_weight", "_weight_total", "_load_and_slack", "_root_constants")
@@ -193,6 +198,29 @@ def test_exact_plan_reuses_newtons_last_headroom_where_1_over_lam_is_s(monkeypat
     monkeypatch.setattr(helpers, "frozen_headroom", frozen_counted)
     _assert_same_bits(solve_exact(scenario), frozen_solve_exact(scenario))
     assert counts["package"] == counts["frozen"] - (2 if reused else 1)
+
+
+@pytest.mark.parametrize("load", LOADS)
+@pytest.mark.parametrize("n", [2, 10, 1000])
+def test_both_planners_start_from_the_gates_one_multiplier(monkeypatch, n, load):
+    # The gate forms the closed form's s = slack/sum(cost/theta) once: the
+    # closed form plans at it, and Newton evaluates its first headroom there.
+    scenario = scenario_at_load(n, load, np.random.default_rng([n, int(load * 1e6), 1]))
+    slack, s = feasible_slack(scenario)
+    assert slack == check_feasibility(scenario).slack
+    assert s == slack / math.fsum((scenario.cost / scenario.theta).tolist())
+    approx = solve_approx(scenario)
+    assert approx.r.tobytes() == (scenario._min_share + scenario._weight * s).tobytes()
+    evaluated = []
+    package_headroom = Scenario._headroom
+
+    def recorded(self, at, with_slope=False):
+        evaluated.append(at)
+        return package_headroom(self, at, with_slope)
+
+    monkeypatch.setattr(Scenario, "_headroom", recorded)
+    solve_exact(scenario)
+    assert evaluated[0] == s and all(a < b for a, b in zip(evaluated, evaluated[1:-1]))
 
 
 def _fsum_inputs(n: int, rng: np.random.Generator) -> dict:
